@@ -11,6 +11,7 @@ from .linalg import (
     DimensionMismatchError,
     FieldMismatchError,
     Isometry,
+    NonFiniteError,
     NotHermitianError,
     PsdVerdict,
     ZeroSpanError,
@@ -19,6 +20,7 @@ from .linalg import (
     char_poly_block_eval,
     compress_to_span,
     hermitian_eigenvalues,
+    hermitian_part_eigenvalues,
     hermiticity_defect,
     is_psd,
     matrix_unit,
@@ -95,4 +97,4 @@ from .report import (
 )
 from .suite import ConfigError, RunConfig, run
 
-__version__ = "0.1.0"
+from .report import VERSION as __version__

@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import block2x2, hermitian_eigenvalues, matrix_unit
+from .linalg import block2x2, hermitian_eigenvalues, hermitian_part_eigenvalues, matrix_unit
 from .maps import (
     block_transpose,
     corner_square_identities,
@@ -80,9 +80,9 @@ def schur_implication(P, X, tol: float = 1e-7) -> SchurReport:
     X = np.asarray(X, dtype=np.complex128)
     n = P.shape[0]
     big = np.block([[P, X.conj().T], [X, np.eye(n, dtype=np.complex128)]])
-    m_big = float(np.linalg.eigvalsh((big + big.conj().T) / 2.0)[0])
+    m_big = float(hermitian_part_eigenvalues(big)[0])
     comp = P - X.conj().T @ X
-    m_comp = float(np.linalg.eigvalsh((comp + comp.conj().T) / 2.0)[0])
+    m_comp = float(hermitian_part_eigenvalues(comp)[0])
     b_ok = m_big >= -tol
     c_ok = m_comp >= -tol
     return SchurReport(
@@ -309,7 +309,7 @@ def lower_right_forcing_check(n: int, trials: int = 50, rng_seed: int = 0) -> fl
         lower, upper = squeeze_bounds(D)
         Dt = D.T
         feas = np.block([[Dt, Dt], [Dt, Dt]])
-        feas_min = float(np.linalg.eigvalsh((feas + feas.conj().T) / 2.0)[0])
+        feas_min = float(hermitian_part_eigenvalues(feas)[0])
         worst = max(
             worst,
             float(np.abs(lower - Dt).max()),
@@ -491,8 +491,7 @@ def falsify_extension(
             S = _seeded_psd(n, field, rng, t)
         out = act(S)
         defect = float(np.abs(out - out.conj().T).max())
-        H = (out + out.conj().T) / 2.0
-        min_eig = float(np.linalg.eigvalsh(H)[0])
+        min_eig = float(hermitian_part_eigenvalues(out)[0])
         if defect > tol or min_eig < -tol:
             return ExtensionViolation(
                 trial=t,

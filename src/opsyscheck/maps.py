@@ -33,18 +33,20 @@ import math
 import numpy as np
 
 from .linalg import (
+    SparseBasis,
     as_square,
     blocks2x2,
     char_poly_block_eval,
+    hermitian_part_eigenvalues,
     hermiticity_defect,
     is_psd,
     matrix_unit,
     operator_norm,
 )
 from .systems import (
+    MEMBERSHIP_TOL,
     DomainViolationError,
     Field,
-    FreeCornerElement,
     PairedCornerElement,
     ScalarDiagonalElement,
     SystemElement,
@@ -54,7 +56,8 @@ from .systems import (
     _draw_positive,
     contains,
     embed,
-    identity_element,
+    extract,
+    parameter_basis,
 )
 
 
@@ -117,32 +120,33 @@ def _opnorm(M: np.ndarray) -> float:
 
 
 def _blockwise(kind: MapKind, M: np.ndarray) -> np.ndarray:
-    n = M.shape[0] // 2
+    """The map's rule on a matrix, or on each matrix of a stack."""
+    n = M.shape[-1] // 2
     out = M.copy()
     if kind is MapKind.QUARTER_TRANSPOSE:
-        out[:n, n:] = M[:n, n:].T / 4.0
-        out[n:, :n] = M[n:, :n].T / 4.0
+        out[..., :n, n:] = M[..., :n, n:].swapaxes(-1, -2) / 4.0
+        out[..., n:, :n] = M[..., n:, :n].swapaxes(-1, -2) / 4.0
     elif kind in (MapKind.OFFDIAG_SWAP, MapKind.OFFDIAG_SWAP_COMPLEX):
-        out[:n, n:] = M[:n, n:].T
-        out[n:, :n] = M[n:, :n].T
+        out[..., :n, n:] = M[..., :n, n:].swapaxes(-1, -2)
+        out[..., n:, :n] = M[..., n:, :n].swapaxes(-1, -2)
     elif kind in (MapKind.CORNER_TRANSPOSE, MapKind.CORNER_TRANSPOSE_FULL):
-        out[:n, :n] = M[:n, :n].T
+        out[..., :n, :n] = M[..., :n, :n].swapaxes(-1, -2)
     else:
-        out[:n, :n] = M[:n, :n].T
-        out[:n, n:] = M[:n, n:].T
-        out[n:, :n] = M[n:, :n].T
-        out[n:, n:] = M[n:, n:].T
+        out[..., :n, :n] = M[..., :n, :n].swapaxes(-1, -2)
+        out[..., :n, n:] = M[..., :n, n:].swapaxes(-1, -2)
+        out[..., n:, :n] = M[..., n:, :n].swapaxes(-1, -2)
+        out[..., n:, n:] = M[..., n:, n:].swapaxes(-1, -2)
     return out
 
 
-def apply(m: MapId, x, tol: float = 1e-10):
+def apply(m: MapId, x, tol: float = MEMBERSHIP_TOL):
     """Apply a map to an element of its domain or to a matrix.
 
     Elements come back as elements, matrices as matrices.  Matrices are
     membership-checked against the domain first (full-algebra maps only
     check the field), raising DomainViolationError on failure.
     """
-    if isinstance(x, (ScalarDiagonalElement, PairedCornerElement, FreeCornerElement)):
+    if isinstance(x, SystemElement):
         return _apply_element(m, x)
     M = as_square(x)
     dom = m.domain
@@ -167,11 +171,7 @@ def _apply_element(m: MapId, e: SystemElement) -> SystemElement:
             f"element of {e.system.kind.token} (n={e.system.n}) is not in the domain"
             f" of {m.kind.token} at n={m.n}"
         )
-    if isinstance(e, ScalarDiagonalElement):
-        return ScalarDiagonalElement(dom, e.a, e.d, e.B.T / 4.0, e.C.T / 4.0)
-    if isinstance(e, PairedCornerElement):
-        return PairedCornerElement(dom, e.a, e.b, e.C.T)
-    return FreeCornerElement(dom, e.A.T, e.b, e.c, e.d)
+    return extract(dom, _blockwise(m.kind, embed(e)))
 
 
 def _random_full_matrix(n: int, field: Field, rng: np.random.Generator) -> np.ndarray:
@@ -389,165 +389,30 @@ _CLOSED_FORM_UPPER = {
 }
 
 
-def _param_dim(m: MapId) -> int:
+def _parameter_basis(m: MapId) -> SparseBasis:
+    """The domain's parameter basis; for a full-algebra map, the row-major
+    matrix units, followed over the complex field by i times each."""
+    if m.domain is not None:
+        return parameter_basis(m.domain)
+    size = 4 * m.n * m.n
+    units = np.array((1.0, 1j) if m.field is Field.COMPLEX else (1.0,), dtype=m.field.dtype)
+    par = np.arange(units.size * size)
+    return SparseBasis(par.size, 2 * m.n, par, par % size, np.repeat(units, size))
+
+
+def _structured_starts(m: MapId, basis: SparseBasis) -> list[np.ndarray]:
     n = m.n
-    if m.kind is MapKind.QUARTER_TRANSPOSE:
-        return 4 + 4 * n * n
-    if m.kind is MapKind.OFFDIAG_SWAP:
-        return 2 + n * n
-    if m.kind is MapKind.OFFDIAG_SWAP_COMPLEX:
-        return 4 + 2 * n * n
-    if m.kind is MapKind.CORNER_TRANSPOSE:
-        return 6 + 2 * n * n
-    if m.kind is MapKind.BLOCK_TRANSPOSE:
-        return 2 * 4 * n * n
-    return 4 * n * n
-
-
-def _params_to_matrix(m: MapId, x: np.ndarray) -> np.ndarray:
-    n = m.n
-    kind = m.kind
-    nn = n * n
-    if kind is MapKind.QUARTER_TRANSPOSE:
-        out = np.zeros((2 * n, 2 * n), dtype=np.complex128)
-        np.fill_diagonal(out[:n, :n], complex(x[0], x[1]))
-        np.fill_diagonal(out[n:, n:], complex(x[2], x[3]))
-        out[:n, n:] = (x[4 : 4 + nn] + 1j * x[4 + nn : 4 + 2 * nn]).reshape(n, n)
-        out[n:, :n] = (x[4 + 2 * nn : 4 + 3 * nn] + 1j * x[4 + 3 * nn :]).reshape(n, n)
-        return out
-    if kind is MapKind.OFFDIAG_SWAP:
-        out = np.zeros((2 * n, 2 * n))
-        np.fill_diagonal(out[:n, :n], float(x[0]))
-        np.fill_diagonal(out[n:, n:], float(x[1]))
-        C = x[2:].reshape(n, n)
-        out[:n, n:] = C
-        out[n:, :n] = C.T
-        return out
-    if kind is MapKind.OFFDIAG_SWAP_COMPLEX:
-        out = np.zeros((2 * n, 2 * n), dtype=np.complex128)
-        np.fill_diagonal(out[:n, :n], complex(x[0], x[1]))
-        np.fill_diagonal(out[n:, n:], complex(x[2], x[3]))
-        C = (x[4 : 4 + nn] + 1j * x[4 + nn :]).reshape(n, n)
-        out[:n, n:] = C
-        out[n:, :n] = C.T
-        return out
-    if kind is MapKind.CORNER_TRANSPOSE:
-        out = np.zeros((2 * n, 2 * n), dtype=np.complex128)
-        np.fill_diagonal(out[:n, n:], complex(x[0], x[1]))
-        np.fill_diagonal(out[n:, :n], complex(x[2], x[3]))
-        np.fill_diagonal(out[n:, n:], complex(x[4], x[5]))
-        out[:n, :n] = (x[6 : 6 + nn] + 1j * x[6 + nn :]).reshape(n, n)
-        return out
-    if kind is MapKind.BLOCK_TRANSPOSE:
-        half = 4 * nn
-        return (x[:half] + 1j * x[half:]).reshape(2 * n, 2 * n)
-    return x.reshape(2 * n, 2 * n)
-
-
-def _structured_starts(m: MapId) -> list[np.ndarray]:
-    n = m.n
-    starts = [_matrix_to_params(m, np.eye(2 * n, dtype=m.field.dtype))]
+    starts = [basis.params(np.eye(2 * n, dtype=m.field.dtype))]
     if m.kind is MapKind.OFFDIAG_SWAP_COMPLEX:
         # the corner witness of the norm proposition, padded to size n
         C = np.zeros((n, n), dtype=np.complex128)
         C[0, 0] = 1.0
         if n >= 2:
             C[1, 0] = 1.0j
-        I = np.eye(n, dtype=np.complex128)
-        Z = np.zeros((n, n), dtype=np.complex128)
-        starts.append(_matrix_to_params(m, np.block([[I, C], [C.T, Z]])))
+        starts.append(basis.params(embed(PairedCornerElement(m.domain, 1.0, 0.0, C))))
     if m.kind is MapKind.BLOCK_TRANSPOSE and n >= 2:
-        starts.append(_matrix_to_params(m, block_transpose(corner_witness(n))))
+        starts.append(basis.params(block_transpose(corner_witness(n))))
     return starts
-
-
-def _matrix_to_params(m: MapId, M: np.ndarray) -> np.ndarray:
-    n = m.n
-    kind = m.kind
-    M = M.astype(m.field.dtype, copy=False)
-    A, B, C, D = blocks2x2(M)
-    if kind is MapKind.QUARTER_TRANSPOSE:
-        return np.concatenate(
-            [
-                [A[0, 0].real, A[0, 0].imag, D[0, 0].real, D[0, 0].imag],
-                B.real.ravel(),
-                B.imag.ravel(),
-                C.real.ravel(),
-                C.imag.ravel(),
-            ]
-        )
-    if kind is MapKind.OFFDIAG_SWAP:
-        return np.concatenate([[A[0, 0], D[0, 0]], B.ravel()])
-    if kind is MapKind.OFFDIAG_SWAP_COMPLEX:
-        return np.concatenate(
-            [
-                [A[0, 0].real, A[0, 0].imag, D[0, 0].real, D[0, 0].imag],
-                B.real.ravel(),
-                B.imag.ravel(),
-            ]
-        )
-    if kind is MapKind.CORNER_TRANSPOSE:
-        return np.concatenate(
-            [
-                [
-                    B[0, 0].real,
-                    B[0, 0].imag,
-                    C[0, 0].real,
-                    C[0, 0].imag,
-                    D[0, 0].real,
-                    D[0, 0].imag,
-                ],
-                A.real.ravel(),
-                A.imag.ravel(),
-            ]
-        )
-    if kind is MapKind.BLOCK_TRANSPOSE:
-        return np.concatenate([M.real.ravel(), M.imag.ravel()])
-    return M.ravel().astype(np.float64)
-
-
-@dataclasses.dataclass(frozen=True)
-class _SparseBasis:
-    """A stack of d matrices of order N, kept as their nonzero entries.
-
-    Matrix i holds ``val[k]`` at flat position ``pos[k]`` for every k with
-    ``par[k] == i``.  The parameter bases have O(n^2) nonzero entries, where
-    the dense stack would hold d N^2 = O(n^4).
-    """
-
-    dim: int
-    order: int
-    par: np.ndarray
-    pos: np.ndarray
-    val: np.ndarray
-
-    @classmethod
-    def of(cls, matrices) -> _SparseBasis:
-        par, pos, val = [], [], []
-        for B in matrices:
-            flat = B.ravel()
-            nz = np.flatnonzero(flat)
-            par.append(np.full(nz.size, len(par)))
-            pos.append(nz)
-            val.append(flat[nz])
-        return cls(len(par), B.shape[0], np.concatenate(par), np.concatenate(pos), np.concatenate(val))
-
-    def combine(self, x: np.ndarray) -> np.ndarray:
-        """sum_i x[b, i] B_i for each row b of x, as a (b, N, N) stack."""
-        b, size = x.shape[0], self.order * self.order
-        terms = x[:, self.par] * self.val
-        flat = (np.arange(b)[:, None] * size + self.pos).ravel()
-        out = np.bincount(flat, terms.real.ravel(), minlength=b * size)
-        if terms.dtype.kind == "c":
-            out = out + 1j * np.bincount(flat, terms.imag.ravel(), minlength=b * size)
-        return out.reshape(b, self.order, self.order)
-
-    def pair(self, G: np.ndarray) -> np.ndarray:
-        """Re sum_jk B_i[j, k] G[b, j, k] for each matrix G[b], as a (b, d) array."""
-        b = G.shape[0]
-        terms = (G.reshape(b, -1)[:, self.pos] * self.val).real
-        flat = (np.arange(b)[:, None] * self.dim + self.par).ravel()
-        return np.bincount(flat, terms.ravel(), minlength=b * self.dim).reshape(b, self.dim)
 
 
 def _schatten(Y: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -590,8 +455,8 @@ def estimate_map_norm(
     gradient ascent zigzags on and stalls short of.  The ascent therefore
     climbs log ||map(X)||_p - log ||X||_p with Schatten exponents p = 16,
     16^2, ..., 16^5, which tend to the operator norm as p grows.  Its
-    gradient comes from the singular triples of X and map(X), through the
-    basis B_i and its image under the map (see ``_schatten``).
+    gradient comes from the singular triples of X and map(X), pulled back
+    through the map and the basis B_i (see ``_schatten``).
 
     All starts ascend together as one stack, each on the unit sphere of
     parameters: a step moves along the gradient projected onto the sphere
@@ -607,32 +472,25 @@ def estimate_map_norm(
     a known extremal configuration get it as a second start; the remaining
     starts are seeded Gaussian draws.
     """
-    dim = _param_dim(m)
-
-    def units():
-        e = np.zeros(dim)
-        for i in range(dim):
-            e[i] = 1.0
-            yield _params_to_matrix(m, e)
-            e[i] = 0.0
-
-    basis = _SparseBasis.of(units())
-    image = _SparseBasis.of(_blockwise(m.kind, B) for B in units())
+    basis = _parameter_basis(m)
 
     # structured starts always run; random restarts fill the remaining budget
-    starts = _structured_starts(m)
+    starts = _structured_starts(m, basis)
     for k in range(len(starts), restarts):
         rng = np.random.default_rng([rng_seed, k])
-        starts.append(rng.normal(size=dim))
+        starts.append(rng.normal(size=basis.dim))
     x = np.array(starts)
     x /= np.linalg.norm(x, axis=1, keepdims=True)
 
     def ascent(x: np.ndarray, stage: np.ndarray):
         """Ratio, objective and sphere-projected gradient at each row of x."""
         p = _P_BASE ** (stage + 1.0)
-        s, log_s, G = _schatten(basis.combine(x), p)
-        t, log_t, H = _schatten(image.combine(x), p)
-        g = image.pair(H) - basis.pair(G)
+        X = basis.combine(x)
+        s, log_s, G = _schatten(X, p)
+        t, log_t, H = _schatten(_blockwise(m.kind, X), p)
+        # each map moves entries within their blocks and scales them by reals,
+        # so it is its own adjoint under Re sum_jk X[j, k] Y[j, k]
+        g = basis.pair(_blockwise(m.kind, H)) - basis.pair(G)
         g -= np.sum(g * x, axis=1, keepdims=True) * x
         return t / s, log_t - log_s, g
 
@@ -667,7 +525,7 @@ def estimate_map_norm(
             taken[done] = 0
             _, f[done], g[done] = ascent(x[done], stage[done])
 
-    W = _params_to_matrix(m, best_x[int(np.argmax(best))])
+    W = basis.matrix(best_x[int(np.argmax(best))])
     W = W / operator_norm(W)
     lower = operator_norm(_blockwise(m.kind, W))
     upper = _CLOSED_FORM_UPPER.get(m.kind)
@@ -687,9 +545,8 @@ def offdiag_swap_norm_bound(a, b, C, tol: float = 1e-9) -> float:
     n = C.shape[0]
     a = complex(a)
     b = complex(b)
-    I = np.eye(n, dtype=np.complex128)
-    M = np.block([[a * I, C], [C.T, b * I]])
-    nM = operator_norm(M)
+    s = SystemId(SystemKind.TRANSPOSE_PAIRED_COMPLEX, n)
+    nM = operator_norm(embed(PairedCornerElement(s, a, b, C)))
     if nM > 1.0 + tol:
         raise PreconditionError(f"element norm {nM:.6f} exceeds 1 + {tol:.1e}")
     nC = operator_norm(C)
@@ -752,9 +609,7 @@ def kadison_schwarz_check(m: MapId, x, tol: float = 1e-9) -> SchwarzReport:
     candidate(M^2) - (map(M))^2; the inequality holds when its smallest
     eigenvalue is >= -tol.
     """
-    M = embed(x) if isinstance(
-        x, (ScalarDiagonalElement, PairedCornerElement, FreeCornerElement)
-    ) else as_square(x)
+    M = embed(x) if isinstance(x, SystemElement) else as_square(x)
     dom = m.domain
     if M.shape[0] != 2 * m.n:
         raise DomainViolationError("matrix order does not match the map")
@@ -774,8 +629,7 @@ def kadison_schwarz_check(m: MapId, x, tol: float = 1e-9) -> SchwarzReport:
         candidate = "map-itself"
     FM = _blockwise(m.kind, M)
     delta = evaluated - FM @ FM
-    H = (delta + delta.conj().T) / 2.0
-    dmin = float(np.linalg.eigvalsh(H)[0])
+    dmin = float(hermitian_part_eigenvalues(delta)[0])
     return SchwarzReport(defect_min_eigenvalue=dmin, holds=dmin >= -tol, candidate=candidate)
 
 

@@ -16,6 +16,7 @@ import json
 
 import numpy as np
 
+# the package version: pyproject.toml and opsyscheck.__version__ read it here
 VERSION = "0.1.0"
 
 STATUS_PASS = "pass"

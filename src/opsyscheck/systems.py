@@ -9,10 +9,12 @@ Five subspaces appear throughout the checks, named by the shape of their
 * free-corner:              [[A, b I], [c I, d I]]    complex, A free
 * free-corner-real:         [[A, b I], [c I, d I]]    real
 
-Each carries a typed element class with exact embed/extract round-trips,
-membership tests, seeded random sampling, and a closed-form positivity
-criterion with a matching eigenvalue oracle for the four lemma-covered
-shapes.
+Every block is a scalar multiple of I, a free block, or the transpose of
+another block.  One table, ``_LAYOUT``, says which for each field of the
+typed element classes, and embedding, membership, extraction, seeded random
+sampling and the real parameter basis of the norm search all derive from
+it.  The four lemma-covered shapes also carry a closed-form positivity
+criterion with a matching eigenvalue oracle.
 """
 
 from __future__ import annotations
@@ -20,15 +22,16 @@ from __future__ import annotations
 import dataclasses
 import enum
 import math
+from typing import NamedTuple
 
 import numpy as np
 
 from .linalg import (
     DimensionMismatchError,
     FieldMismatchError,
+    SparseBasis,
     as_square,
-    block2x2,
-    blocks2x2,
+    hermitian_part_eigenvalues,
     hermiticity_defect,
     is_psd,
     operator_norm,
@@ -115,8 +118,24 @@ def _coerce_block(X, field: Field, n: int, name: str) -> np.ndarray:
     return np.array(A, dtype=np.complex128)
 
 
+class _Element:
+    """Coerces every field to the system's field, as its layout slot says."""
+
+    def __post_init__(self):
+        kind, n = self.system.kind, self.system.n
+        if _ELEMENT_CLASS[kind] is not type(self):
+            raise UnsupportedSystemError(f"wrong system kind {kind}")
+        for name, _, role in _LAYOUT[type(self)]:
+            value = getattr(self, name)
+            if role is Role.SCALAR:
+                value = _coerce_scalar(value, kind.field, name)
+            else:
+                value = _coerce_block(value, kind.field, n, name)
+            object.__setattr__(self, name, value)
+
+
 @dataclasses.dataclass(frozen=True, eq=False)
-class ScalarDiagonalElement:
+class ScalarDiagonalElement(_Element):
     """Element of the scalar-diagonal system: [[a I, B], [C, d I]]."""
 
     system: SystemId
@@ -125,18 +144,9 @@ class ScalarDiagonalElement:
     B: np.ndarray
     C: np.ndarray
 
-    def __post_init__(self):
-        if self.system.kind is not SystemKind.SCALAR_DIAGONAL:
-            raise UnsupportedSystemError(f"wrong system kind {self.system.kind}")
-        n = self.system.n
-        object.__setattr__(self, "a", _coerce_scalar(self.a, Field.COMPLEX, "a"))
-        object.__setattr__(self, "d", _coerce_scalar(self.d, Field.COMPLEX, "d"))
-        object.__setattr__(self, "B", _coerce_block(self.B, Field.COMPLEX, n, "B"))
-        object.__setattr__(self, "C", _coerce_block(self.C, Field.COMPLEX, n, "C"))
-
 
 @dataclasses.dataclass(frozen=True, eq=False)
-class PairedCornerElement:
+class PairedCornerElement(_Element):
     """Element of a transpose-paired system: [[a I, C], [C^t, b I]]."""
 
     system: SystemId
@@ -144,18 +154,9 @@ class PairedCornerElement:
     b: complex
     C: np.ndarray
 
-    def __post_init__(self):
-        if self.system.kind not in PAIRED_KINDS:
-            raise UnsupportedSystemError(f"wrong system kind {self.system.kind}")
-        f = self.system.field
-        n = self.system.n
-        object.__setattr__(self, "a", _coerce_scalar(self.a, f, "a"))
-        object.__setattr__(self, "b", _coerce_scalar(self.b, f, "b"))
-        object.__setattr__(self, "C", _coerce_block(self.C, f, n, "C"))
-
 
 @dataclasses.dataclass(frozen=True, eq=False)
-class FreeCornerElement:
+class FreeCornerElement(_Element):
     """Element of a free-corner system: [[A, b I], [c I, d I]]."""
 
     system: SystemId
@@ -164,43 +165,81 @@ class FreeCornerElement:
     c: complex
     d: complex
 
-    def __post_init__(self):
-        if self.system.kind not in CORNER_KINDS:
-            raise UnsupportedSystemError(f"wrong system kind {self.system.kind}")
-        f = self.system.field
-        n = self.system.n
-        object.__setattr__(self, "A", _coerce_block(self.A, f, n, "A"))
-        object.__setattr__(self, "b", _coerce_scalar(self.b, f, "b"))
-        object.__setattr__(self, "c", _coerce_scalar(self.c, f, "c"))
-        object.__setattr__(self, "d", _coerce_scalar(self.d, f, "d"))
-
 
 SystemElement = ScalarDiagonalElement | PairedCornerElement | FreeCornerElement
 
 
+class Role(enum.Enum):
+    """How an element field fills its block of the 2x2 pattern."""
+
+    SCALAR = "scalar"  # the value times I
+    FREE = "free"  # any n x n block
+    TIED = "tied"  # any n x n block, whose transpose fills the mirrored block
+
+
+class Slot(NamedTuple):
+    """An element field, its (row, col) in the 2x2 block grid, and its role."""
+
+    name: str
+    block: tuple[int, int]
+    role: Role
+
+
+# The one description of each subspace: every field of the element class, in
+# dataclass order.  Embedding, membership, extraction, draws and the
+# parameter basis all walk it.
+_LAYOUT: dict[type, tuple[Slot, ...]] = {
+    ScalarDiagonalElement: (
+        Slot("a", (0, 0), Role.SCALAR),
+        Slot("d", (1, 1), Role.SCALAR),
+        Slot("B", (0, 1), Role.FREE),
+        Slot("C", (1, 0), Role.FREE),
+    ),
+    PairedCornerElement: (
+        Slot("a", (0, 0), Role.SCALAR),
+        Slot("b", (1, 1), Role.SCALAR),
+        Slot("C", (0, 1), Role.TIED),
+    ),
+    FreeCornerElement: (
+        Slot("A", (0, 0), Role.FREE),
+        Slot("b", (0, 1), Role.SCALAR),
+        Slot("c", (1, 0), Role.SCALAR),
+        Slot("d", (1, 1), Role.SCALAR),
+    ),
+}
+
+_ELEMENT_CLASS: dict[SystemKind, type] = {
+    SystemKind.SCALAR_DIAGONAL: ScalarDiagonalElement,
+    SystemKind.TRANSPOSE_PAIRED: PairedCornerElement,
+    SystemKind.TRANSPOSE_PAIRED_COMPLEX: PairedCornerElement,
+    SystemKind.FREE_CORNER: FreeCornerElement,
+    SystemKind.FREE_CORNER_REAL: FreeCornerElement,
+}
+
+
+def _block(M: np.ndarray, n: int, block: tuple[int, int]) -> np.ndarray:
+    """View of one n x n block of a 2n x 2n matrix."""
+    r, c = block
+    return M[r * n : (r + 1) * n, c * n : (c + 1) * n]
+
+
 def identity_element(s: SystemId) -> SystemElement:
     """The element whose embedding is the 2n x 2n identity."""
-    n = s.n
-    dt = s.field.dtype
-    Z = np.zeros((n, n), dtype=dt)
-    if s.kind is SystemKind.SCALAR_DIAGONAL:
-        return ScalarDiagonalElement(s, 1.0, 1.0, Z, Z.copy())
-    if s.kind in PAIRED_KINDS:
-        return PairedCornerElement(s, 1.0, 1.0, Z)
-    return FreeCornerElement(s, np.eye(n, dtype=dt), 0.0, 0.0, 1.0)
+    return extract(s, np.eye(2 * s.n, dtype=s.field.dtype))
 
 
 def embed(e: SystemElement) -> np.ndarray:
     """The 2n x 2n matrix an element stands for."""
     s = e.system
     n = s.n
-    dt = s.field.dtype
-    I = np.eye(n, dtype=dt)
-    if isinstance(e, ScalarDiagonalElement):
-        return block2x2(e.a * I, e.B, e.C, e.d * I)
-    if isinstance(e, PairedCornerElement):
-        return block2x2(e.a * I, e.C, e.C.T, e.b * I)
-    return block2x2(e.A, e.b * I, e.c * I, e.d * I)
+    I = np.eye(n, dtype=s.field.dtype)
+    M = np.zeros((2 * n, 2 * n), dtype=s.field.dtype)
+    for name, block, role in _LAYOUT[type(e)]:
+        value = getattr(e, name)
+        _block(M, n, block)[...] = value * I if role is Role.SCALAR else value
+        if role is Role.TIED:
+            _block(M, n, block[::-1])[...] = value.T
+    return M
 
 
 def _is_scalar_block(X: np.ndarray, tol: float) -> bool:
@@ -217,20 +256,14 @@ def contains(s: SystemId, M, tol: float = MEMBERSHIP_TOL) -> bool:
         if np.abs(A.imag).max() > tol:
             return False
         A = A.real
-    A11, A12, A21, A22 = blocks2x2(A)
-    if s.kind is SystemKind.SCALAR_DIAGONAL:
-        return _is_scalar_block(A11, tol) and _is_scalar_block(A22, tol)
-    if s.kind in PAIRED_KINDS:
-        return (
-            _is_scalar_block(A11, tol)
-            and _is_scalar_block(A22, tol)
-            and bool(np.abs(A21 - A12.T).max() <= tol)
-        )
-    return (
-        _is_scalar_block(A12, tol)
-        and _is_scalar_block(A21, tol)
-        and _is_scalar_block(A22, tol)
-    )
+    n = s.n
+    for _, block, role in _LAYOUT[_ELEMENT_CLASS[s.kind]]:
+        X = _block(A, n, block)
+        if role is Role.SCALAR and not _is_scalar_block(X, tol):
+            return False
+        if role is Role.TIED and not np.abs(_block(A, n, block[::-1]) - X.T).max() <= tol:
+            return False
+    return True
 
 
 def extract(s: SystemId, M, tol: float = MEMBERSHIP_TOL) -> SystemElement:
@@ -244,12 +277,49 @@ def extract(s: SystemId, M, tol: float = MEMBERSHIP_TOL) -> SystemElement:
     A = as_square(M)
     if s.field is Field.REAL and A.dtype.kind == "c":
         A = A.real
-    A11, A12, A21, A22 = blocks2x2(A)
-    if s.kind is SystemKind.SCALAR_DIAGONAL:
-        return ScalarDiagonalElement(s, A11[0, 0], A22[0, 0], A12, A21)
-    if s.kind in PAIRED_KINDS:
-        return PairedCornerElement(s, A11[0, 0], A22[0, 0], A12)
-    return FreeCornerElement(s, A11, A12[0, 0], A21[0, 0], A22[0, 0])
+    cls = _ELEMENT_CLASS[s.kind]
+    fields = {}
+    for name, block, role in _LAYOUT[cls]:
+        X = _block(A, s.n, block)
+        fields[name] = X[0, 0] if role is Role.SCALAR else X
+    return cls(s, **fields)
+
+
+def parameter_basis(s: SystemId) -> SparseBasis:
+    """The real basis the norm search moves the subspace's elements along.
+
+    Scalar fields come first, in dataclass order, each as its real part
+    then (over the complex field) its imaginary part, a 1 or an i along the
+    diagonal of its block.  Block fields follow in dataclass order, each as
+    its real entries then its imaginary entries, row-major; a tied block's
+    parameter also sets the mirrored entry of the transposed block.
+    """
+    n, N = s.n, 2 * s.n
+    units = (1.0, 1j) if s.field is Field.COMPLEX else (1.0,)
+    idx = np.arange(n)
+    diagonal = idx * (N + 1)
+    entries = (idx[:, None] * N + idx).ravel()
+    mirrored = (idx[:, None] + idx * N).ravel()
+    slots = sorted(_LAYOUT[_ELEMENT_CLASS[s.kind]], key=lambda slot: slot.role is not Role.SCALAR)
+    par, pos, val = [], [], []
+    dim = 0
+    for _, (r, c), role in slots:
+        corner = r * n * N + c * n
+        for unit in units:
+            if role is Role.SCALAR:
+                k, p = np.full(n, dim), corner + diagonal
+                dim += 1
+            else:
+                k, p = dim + np.arange(n * n), corner + entries
+                dim += n * n
+            if role is Role.TIED:
+                # each parameter's two entries in a row, the upper-right one first
+                k = np.repeat(k, 2)
+                p = np.stack([p, c * n * N + r * n + mirrored], axis=1).ravel()
+            par.append(k)
+            pos.append(p)
+            val.append(np.full(k.size, unit, dtype=s.field.dtype))
+    return SparseBasis(dim, N, np.concatenate(par), np.concatenate(pos), np.concatenate(val))
 
 
 def _draw_element(s: SystemId, rng: np.random.Generator, scale: float) -> SystemElement:
@@ -268,11 +338,10 @@ def _draw_element(s: SystemId, rng: np.random.Generator, scale: float) -> System
             return rng.normal(0.0, sd, (n, n)) + 1j * rng.normal(0.0, sd, (n, n))
         return rng.normal(0.0, scale / math.sqrt(n), (n, n))
 
-    if s.kind is SystemKind.SCALAR_DIAGONAL:
-        return ScalarDiagonalElement(s, scalar(), scalar(), blk(), blk())
-    if s.kind in PAIRED_KINDS:
-        return PairedCornerElement(s, scalar(), scalar(), blk())
-    return FreeCornerElement(s, blk(), scalar(), scalar(), scalar())
+    # fields drawn in dataclass order
+    cls = _ELEMENT_CLASS[s.kind]
+    fields = {name: scalar() if role is Role.SCALAR else blk() for name, _, role in _LAYOUT[cls]}
+    return cls(s, **fields)
 
 
 def random_element(s: SystemId, rng_seed: int, scale: float = 1.0) -> SystemElement:
@@ -371,8 +440,7 @@ def is_positive_by_criterion(e: SystemElement, tol: float = 1e-7) -> bool:
     dr = d.real
     if dr < -tol:
         return False
-    H = (A + A.conj().T) / 2.0
-    lam_min = float(np.linalg.eigvalsh(H)[0])
+    lam_min = float(hermitian_part_eigenvalues(A)[0])
     if lam_min < -tol:
         return False
     if dr <= tol:
@@ -406,8 +474,7 @@ def boundary_margin(e: SystemElement) -> float:
         return min(min(parts), hm)
     A, b, c, d = e.A, complex(e.b), complex(e.c), complex(e.d)
     hm = herm_margin([abs(c - np.conj(b)), hermiticity_defect(A), abs(d.imag)])
-    H = (A + A.conj().T) / 2.0
-    lam_min = float(np.linalg.eigvalsh(H)[0])
+    lam_min = float(hermitian_part_eigenvalues(A)[0])
     parts = [abs(lam_min), abs(d.real)]
     if d.real > 0 and lam_min > 0:
         parts.append(abs(d.real * lam_min - abs(b) ** 2))

@@ -7,6 +7,7 @@ from opsyscheck import (
     DimensionMismatchError,
     FieldMismatchError,
     Isometry,
+    NonFiniteError,
     NotHermitianError,
     ZeroSpanError,
     block2x2,
@@ -54,6 +55,16 @@ def test_hermitian_eigenvalues_rejects_non_hermitian():
     # symmetrizing within tolerance still works
     vals = hermitian_eigenvalues(M + M.T + 1e-12 * matrix_unit(2, 1, 2))
     assert vals.shape == (2,)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+def test_eigenchecks_reject_non_finite(bad):
+    """NaN or inf reaches neither an eigenvalue nor a PSD verdict."""
+    M = np.array([[bad, 0.0], [0.0, 1.0]])
+    with pytest.raises(NonFiniteError):
+        hermitian_eigenvalues(M)
+    with pytest.raises(NonFiniteError):
+        is_psd(M)
 
 
 def test_hermiticity_defect_values():
