@@ -18,19 +18,25 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-import math
 from typing import Callable
 
 import numpy as np
 
-from .linalg import block2x2, hermitian_eigenvalues, hermitian_part_eigenvalues, matrix_unit
+from .linalg import (
+    as_square,
+    block2x2,
+    hermitian_eigenvalues,
+    hermitian_part_eigenvalues,
+    hermiticity_defect,
+    matrix_unit,
+)
 from .maps import (
     block_transpose,
     corner_square_identities,
     corner_witness,
     quarter_transpose_witness_norm,
 )
-from .systems import Field
+from .systems import Field, _draw_psd_diagonal, _draw_psd_rank_one, _draw_psd_wishart
 
 CONTRADICTION_MARGIN = 1e-6
 
@@ -460,27 +466,15 @@ def falsify_extension(
 ) -> ExtensionViolation | None:
     """Search for a PSD input whose image under the candidate is not PSD.
 
-    The candidate is sampled on the 4n^2 standard basis matrices of the full
-    algebra and replaced by the linear map those samples define, so only its
-    linear action matters.  The first probe is the corner witness (n >= 2),
-    followed by seeded rank-one and Wishart-type PSD draws.  Returning None
-    means no violation was found; that is evidence, not a proof that the
-    candidate is positive.
+    The candidate is called once on each probe of the full algebra.  The
+    first probe is the corner witness (n >= 2); the rest are seeded draws,
+    cycling through Wishart-type, rank-one and diagonal PSD matrices.
+    Returning None means no violation was found; that is evidence, not a
+    proof that the candidate is positive.
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    n2 = 2 * n
-    dt = field.dtype
-    K = np.zeros((n2 * n2, n2 * n2), dtype=np.complex128)
-    for p in range(n2):
-        for q in range(n2):
-            E = np.zeros((n2, n2), dtype=dt)
-            E[p, q] = 1.0
-            K[:, p * n2 + q] = np.asarray(candidate(E), dtype=np.complex128).ravel()
-
-    def act(M: np.ndarray) -> np.ndarray:
-        return (K @ M.astype(np.complex128).ravel()).reshape(n2, n2)
-
+    draws = (_draw_psd_wishart, _draw_psd_rank_one, _draw_psd_diagonal)
     rng = np.random.default_rng(rng_seed)
     for t in range(trials):
         if t == 0 and n >= 2:
@@ -488,9 +482,9 @@ def falsify_extension(
             if field is Field.REAL:
                 S = S.real
         else:
-            S = _seeded_psd(n, field, rng, t)
-        out = act(S)
-        defect = float(np.abs(out - out.conj().T).max())
+            S = draws[t % 3](n, field, rng)
+        out = as_square(candidate(S))
+        defect = hermiticity_defect(out)
         min_eig = float(hermitian_part_eigenvalues(out)[0])
         if defect > tol or min_eig < -tol:
             return ExtensionViolation(
@@ -501,23 +495,6 @@ def falsify_extension(
                 hermiticity_defect=defect,
             )
     return None
-
-
-def _seeded_psd(n: int, field: Field, rng: np.random.Generator, trial: int) -> np.ndarray:
-    n2 = 2 * n
-    if trial % 3 == 1:
-        if field is Field.COMPLEX:
-            v = rng.normal(size=n2) + 1j * rng.normal(size=n2)
-        else:
-            v = rng.normal(size=n2)
-        return np.outer(v, v.conj()) / max(float(np.real(np.vdot(v, v))), 1e-300)
-    if trial % 3 == 2:
-        return np.diag(rng.uniform(0.0, 1.0, n2)).astype(field.dtype)
-    if field is Field.COMPLEX:
-        G = (rng.normal(size=(n2, n2)) + 1j * rng.normal(size=(n2, n2))) / math.sqrt(2 * n2)
-    else:
-        G = rng.normal(size=(n2, n2)) / math.sqrt(n2)
-    return G @ G.conj().T
 
 
 def verify_verdict_invariants(v: Verdict) -> list[str]:

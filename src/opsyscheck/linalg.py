@@ -46,21 +46,33 @@ def as_square(M, name: str = "matrix") -> np.ndarray:
     raise FieldMismatchError(f"{name} has unsupported dtype {A.dtype}")
 
 
+def _require_finite(A: np.ndarray) -> None:
+    # NaN or inf would give finite-looking eigenvalues, and a NaN defect
+    # passes every ``defect > tol`` guard
+    if not np.isfinite(A).all():
+        raise NonFiniteError("matrix has NaN or infinite entries")
+
+
 def hermiticity_defect(M) -> float:
-    """Largest entrywise deviation of M from its conjugate transpose."""
+    """Largest entrywise deviation of M from its conjugate transpose.
+
+    Raises NonFiniteError on NaN or infinite entries.
+    """
     A = as_square(M)
+    _require_finite(A)
     return float(np.abs(A - A.conj().T).max())
 
 
 def hermitian_part_eigenvalues(A: np.ndarray) -> np.ndarray:
     """Eigenvalues of the Hermitian part (A + A*) / 2, ascending.
 
-    Raises NonFiniteError on NaN or infinite entries: the solver would
-    return finite-looking eigenvalues for them, and a NaN defect passes
-    every ``defect > tol`` guard.
+    Raises NonFiniteError on NaN or infinite entries.
     """
-    if not np.isfinite(A).all():
-        raise NonFiniteError("matrix has NaN or infinite entries")
+    _require_finite(A)
+    return _eigvalsh_hermitian_part(A)
+
+
+def _eigvalsh_hermitian_part(A: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh((A + A.conj().T) / 2.0)
 
 
@@ -68,13 +80,13 @@ def hermitian_eigenvalues(M, tol: float = 1e-9) -> np.ndarray:
     """Eigenvalues of a Hermitian matrix, ascending.
 
     Uses the symmetric/Hermitian-specialized solver; refuses input whose
-    hermiticity defect exceeds ``tol``.
+    hermiticity defect exceeds ``tol``, and NaN or infinite entries.
     """
     A = as_square(M)
-    defect = float(np.abs(A - A.conj().T).max())
+    defect = hermiticity_defect(A)
     if defect > tol:
         raise NotHermitianError(f"hermiticity defect {defect:.3e} exceeds tol {tol:.3e}")
-    return hermitian_part_eigenvalues(A)
+    return _eigvalsh_hermitian_part(A)
 
 
 def singular_values(M) -> np.ndarray:
@@ -107,8 +119,8 @@ def is_psd(M, tol: float = 1e-7) -> PsdVerdict:
     infinite entries raise NonFiniteError instead of reaching a verdict.
     """
     A = as_square(M)
-    defect = float(np.abs(A - A.conj().T).max())
-    min_eig = float(hermitian_part_eigenvalues(A)[0])
+    defect = hermiticity_defect(A)
+    min_eig = float(_eigvalsh_hermitian_part(A)[0])
     ok = defect <= tol and min_eig >= -tol
     return PsdVerdict(is_psd=ok, min_eigenvalue=min_eig, hermiticity_defect=defect)
 

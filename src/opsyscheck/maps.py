@@ -48,12 +48,15 @@ from .systems import (
     DomainViolationError,
     Field,
     PairedCornerElement,
-    ScalarDiagonalElement,
     SystemElement,
     SystemId,
     SystemKind,
+    _draw_corner_tuple,
     _draw_element,
+    _draw_full,
     _draw_positive,
+    _draw_psd_rank_one,
+    _draw_psd_wishart,
     contains,
     embed,
     extract,
@@ -174,18 +177,10 @@ def _apply_element(m: MapId, e: SystemElement) -> SystemElement:
     return extract(dom, _blockwise(m.kind, embed(e)))
 
 
-def _random_full_matrix(n: int, field: Field, rng: np.random.Generator) -> np.ndarray:
-    if field is Field.COMPLEX:
-        return (
-            rng.normal(size=(2 * n, 2 * n)) + 1j * rng.normal(size=(2 * n, 2 * n))
-        ) / math.sqrt(4 * n)
-    return rng.normal(size=(2 * n, 2 * n)) / math.sqrt(2 * n)
-
-
 def _random_domain_matrix(m: MapId, rng: np.random.Generator) -> np.ndarray:
     dom = m.domain
     if dom is None:
-        return _random_full_matrix(m.n, m.field, rng)
+        return _draw_full(m.n, m.field, rng)
     return embed(_draw_element(dom, rng, 1.0))
 
 
@@ -269,42 +264,13 @@ def corner_witness(n: int) -> np.ndarray:
     return np.outer(v, v.conj())
 
 
-def _draw_positive_scalar_diagonal(s: SystemId, rng: np.random.Generator) -> ScalarDiagonalElement:
-    """PSD element of the scalar-diagonal system: [[aI, B], [B*, dI]] is PSD
-    iff a, d >= 0 and ||B|| <= sqrt(ad)."""
-    n = s.n
-    a = 0.0 if rng.random() < 0.1 else float(rng.uniform(0.05, 2.0))
-    d = 0.0 if rng.random() < 0.1 else float(rng.uniform(0.05, 2.0))
-    if a * d == 0.0:
-        B = np.zeros((n, n), dtype=np.complex128)
-    else:
-        G = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        B = G * (rng.uniform(0.0, 1.0) * math.sqrt(a * d) / max(operator_norm(G), 1e-300))
-    return ScalarDiagonalElement(s, a, d, B, B.conj().T)
-
-
-def _random_psd_full(n: int, field: Field, rng: np.random.Generator, trial: int) -> np.ndarray:
-    n2 = 2 * n
-    if trial % 2 == 0:
-        if field is Field.COMPLEX:
-            v = rng.normal(size=n2) + 1j * rng.normal(size=n2)
-        else:
-            v = rng.normal(size=n2)
-        nv = float(np.real(np.vdot(v, v)))
-        return np.outer(v, v.conj()) / max(nv, 1e-300)
-    G = _random_full_matrix(n, field, rng)
-    return G @ G.conj().T
-
-
 def _positive_sample(m: MapId, rng: np.random.Generator, trial: int) -> np.ndarray:
-    kind = m.kind
-    if kind is MapKind.QUARTER_TRANSPOSE:
-        return embed(_draw_positive_scalar_diagonal(m.domain, rng))
-    if kind in (MapKind.OFFDIAG_SWAP, MapKind.OFFDIAG_SWAP_COMPLEX, MapKind.CORNER_TRANSPOSE):
+    if m.domain is not None:
         return embed(_draw_positive(m.domain, rng))
-    if kind is MapKind.BLOCK_TRANSPOSE and trial == 0 and m.n >= 2:
+    if m.kind is MapKind.BLOCK_TRANSPOSE and trial == 0 and m.n >= 2:
         return corner_witness(m.n)
-    return _random_psd_full(m.n, m.field, rng, trial)
+    draw = _draw_psd_rank_one if trial % 2 == 0 else _draw_psd_wishart
+    return draw(m.n, m.field, rng)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -682,8 +648,7 @@ def swap_bc_singular_check(n: int, trials: int = 1000, rng_seed: int = 0) -> flo
     worst = 0.0
     I = np.eye(n, dtype=np.complex128)
     for _ in range(trials):
-        A = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) / math.sqrt(2 * n)
-        b, c, d = (complex(rng.normal(), rng.normal()) / math.sqrt(2) for _ in range(3))
+        A, b, c, d = _draw_corner_tuple(n, rng)
         M = np.block([[A, b * I], [c * I, d * I]])
         N = np.block([[A, c * I], [b * I, d * I]])
         dev = float(np.abs(np.linalg.svd(M, compute_uv=False) - np.linalg.svd(N, compute_uv=False)).max())
@@ -706,8 +671,7 @@ def char_poly_swap_check(
     I = np.eye(n, dtype=np.complex128)
     I2n = np.eye(2 * n, dtype=np.complex128)
     for _ in range(instances):
-        A = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) / math.sqrt(2 * n)
-        b, c, d = (complex(rng.normal(), rng.normal()) / math.sqrt(2) for _ in range(3))
+        A, b, c, d = _draw_corner_tuple(n, rng)
         M = np.block([[A, b * I], [c * I, d * I]])
         N = np.block([[A, c * I], [b * I, d * I]])
         GM = M.conj().T @ M

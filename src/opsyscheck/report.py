@@ -4,7 +4,9 @@ A claim is one named check with a pass/fail/inconclusive status, a numeric
 residual, and an optional matrix witness.  Reports aggregate claims with the
 configuration that produced them.  Serialization is deterministic: the same
 claims always produce byte-identical JSON, with wall-clock duration kept
-outside the claim array.
+outside the claim array.  A claim refuses a NaN or infinite residual and
+the JSON writers refuse any other non-finite number, so the output is always
+valid JSON.
 """
 
 from __future__ import annotations
@@ -13,8 +15,11 @@ import csv
 import dataclasses
 import io
 import json
+import math
 
 import numpy as np
+
+from .linalg import NonFiniteError
 
 # the package version: pyproject.toml and opsyscheck.__version__ read it here
 VERSION = "0.1.0"
@@ -78,6 +83,10 @@ class Claim:
     residual: float | None = None
     witness: MatrixPayload | None = None
 
+    def __post_init__(self):
+        if self.residual is not None and not math.isfinite(self.residual):
+            raise NonFiniteError(f"claim {self.id} has residual {self.residual}")
+
     def to_dict(self) -> dict:
         d: dict = {"id": self.id, "anchor": self.anchor, "status": self.status}
         d["residual"] = self.residual
@@ -128,11 +137,11 @@ class Report:
 
 def claims_to_json(claims: tuple[Claim, ...]) -> str:
     """Deterministic JSON of the claim array alone (no timing)."""
-    return json.dumps([c.to_dict() for c in claims], sort_keys=True, indent=2)
+    return json.dumps([c.to_dict() for c in claims], sort_keys=True, indent=2, allow_nan=False)
 
 
 def report_to_json(r: Report) -> str:
-    return json.dumps(r.to_dict(), sort_keys=True, indent=2)
+    return json.dumps(r.to_dict(), sort_keys=True, indent=2, allow_nan=False)
 
 
 def report_from_json(s: str) -> Report:

@@ -207,23 +207,6 @@ def swapbc_claims(cfg: RunConfig) -> list[Claim]:
     return claims
 
 
-def _random_selfadjoint_corner(s: SystemId, rng: np.random.Generator):
-    n = s.n
-    G = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    A = (G + G.conj().T) / 2.0
-    c = complex(rng.normal(), rng.normal())
-    d = float(rng.normal())
-    return systems.FreeCornerElement(s, A, np.conj(c), c, d)
-
-
-def _random_selfadjoint_scalar_diagonal(s: SystemId, rng: np.random.Generator):
-    n = s.n
-    B = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) / math.sqrt(n)
-    return systems.ScalarDiagonalElement(
-        s, float(rng.uniform(-1, 1)), float(rng.uniform(-1, 1)), B, B.conj().T
-    )
-
-
 def ks_claims(cfg: RunConfig) -> list[Claim]:
     """Schwarz-inequality behavior of the forced extension candidates."""
     claims: list[Claim] = []
@@ -233,12 +216,9 @@ def ks_claims(cfg: RunConfig) -> list[Claim]:
         rng = np.random.default_rng(_seed(cfg, 6, n))
         worst = 0.0
         for _ in range(min(cfg.trials, 50)):
-            A = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-            A = (A + A.conj().T) / 2.0
-            c = complex(rng.normal(), rng.normal())
-            d = float(rng.normal())
-            worst = max(worst, maps.corner_square_identities(A, c, d))
-            e = _random_selfadjoint_corner(corner_sys, rng)
+            f = systems._draw_selfadjoint(corner_sys, rng)
+            worst = max(worst, maps.corner_square_identities(f.A, f.c, f.d.real))
+            e = systems._draw_selfadjoint(corner_sys, rng)
             ks = maps.kadison_schwarz_check(corner_map, e, tol=cfg.tol_identity)
             worst = max(worst, abs(ks.defect_min_eigenvalue))
         claims.append(
@@ -264,7 +244,7 @@ def ks_claims(cfg: RunConfig) -> list[Claim]:
                 B[0, 1] = 1.0
                 e = systems.ScalarDiagonalElement(sd_sys, 0.5, 0.5, B, B.conj().T)
             else:
-                e = _random_selfadjoint_scalar_diagonal(sd_sys, rng)
+                e = systems._draw_selfadjoint(sd_sys, rng)
             ks = maps.kadison_schwarz_check(sd_map, e, tol=cfg.tol_identity)
             worst_defect = min(worst_defect, ks.defect_min_eigenvalue)
         if n <= 16:

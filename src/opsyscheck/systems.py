@@ -13,8 +13,13 @@ Every block is a scalar multiple of I, a free block, or the transpose of
 another block.  One table, ``_LAYOUT``, says which for each field of the
 typed element classes, and embedding, membership, extraction, seeded random
 sampling and the real parameter basis of the norm search all derive from
-it.  The four lemma-covered shapes also carry a closed-form positivity
-criterion with a matching eigenvalue oracle.
+it.  All five shapes also carry a closed-form positivity criterion with a
+matching eigenvalue oracle.
+
+Every seeded draw of an element or of a 2n x 2n matrix lives here, one
+sampler per distribution: generic, positive and self-adjoint elements, the
+free-corner entry tuple of the scalar-swap checks, and the Gaussian,
+rank-one, Wishart and diagonal matrices of the full algebra.
 """
 
 from __future__ import annotations
@@ -352,23 +357,23 @@ def random_element(s: SystemId, rng_seed: int, scale: float = 1.0) -> SystemElem
 
 def _draw_positive(s: SystemId, rng: np.random.Generator) -> SystemElement:
     n = s.n
-    if s.kind is SystemKind.SCALAR_DIAGONAL:
-        raise UnsupportedSystemError(
-            "no positivity criterion is wired for the scalar-diagonal system"
-        )
-    if s.kind in PAIRED_KINDS:
-        # corner norm capped by sqrt(ab); a tenth of draws pin a or b to 0,
-        # which forces C = 0
+    if s.kind not in CORNER_KINDS:
+        # [[a I, K], [K*, b I]] with ||K|| <= sqrt(ab); a tenth of draws pin
+        # a or b to 0, which forces K = 0.  K is complex on the scalar-diagonal
+        # system and real on the paired ones, where K* = K^t.
+        cplx = s.kind is SystemKind.SCALAR_DIAGONAL
         a = 0.0 if rng.random() < 0.1 else float(rng.uniform(0.05, 2.0))
         b = 0.0 if rng.random() < 0.1 else float(rng.uniform(0.05, 2.0))
         if a * b == 0.0:
-            C = np.zeros((n, n))
+            K = np.zeros((n, n), dtype=np.complex128 if cplx else np.float64)
         else:
             G = rng.normal(size=(n, n))
-            nG = operator_norm(G)
-            cap = math.sqrt(a * b)
-            C = G * (rng.uniform(0.0, 1.0) * cap / max(nG, 1e-300))
-        e: SystemElement = PairedCornerElement(s, a, b, C)
+            if cplx:
+                G = G + 1j * rng.normal(size=(n, n))
+            K = G * (rng.uniform(0.0, 1.0) * math.sqrt(a * b) / max(operator_norm(G), 1e-300))
+        e: SystemElement = (
+            ScalarDiagonalElement(s, a, b, K, K.conj().T) if cplx else PairedCornerElement(s, a, b, K)
+        )
     else:
         G = (
             rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
@@ -397,38 +402,94 @@ def _draw_positive(s: SystemId, rng: np.random.Generator) -> SystemElement:
 
 
 def random_positive_element(s: SystemId, rng_seed: int) -> SystemElement:
-    """Seeded PSD element of a lemma-covered system, verified before return."""
+    """Seeded PSD element, verified before return."""
     return _draw_positive(s, np.random.default_rng(rng_seed))
 
 
-def is_positive_by_criterion(e: SystemElement, tol: float = 1e-7) -> bool:
-    """Closed-form positivity test for the four lemma-covered systems.
+def _draw_selfadjoint(s: SystemId, rng: np.random.Generator) -> SystemElement:
+    """Self-adjoint element of the scalar-diagonal or the free-corner system:
+    a Gaussian corner B with B* below it and uniform real scalars, or a
+    Hermitian part of a Gaussian A with Gaussian c, conj(c) and real d."""
+    n = s.n
+    if s.kind is SystemKind.SCALAR_DIAGONAL:
+        B = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) / math.sqrt(n)
+        a, d = float(rng.uniform(-1, 1)), float(rng.uniform(-1, 1))
+        return ScalarDiagonalElement(s, a, d, B, B.conj().T)
+    G = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    c = complex(rng.normal(), rng.normal())
+    return FreeCornerElement(s, (G + G.conj().T) / 2.0, np.conj(c), c, float(rng.normal()))
 
-    Paired shape: nonneg scalars with ||C|| <= sqrt(ab); when ab <= tol^2 the
-    corner must vanish (||C|| <= tol).  Free-corner shape: A PSD, d >= 0,
-    c = conj(b), and d A >= |b|^2 I; when d <= tol this degenerates to
-    |b| <= tol with A PSD.  Complex variants must additionally be
-    self-adjoint within tol.
-    """
+
+def _draw_corner_tuple(n: int, rng: np.random.Generator) -> tuple[np.ndarray, complex, complex, complex]:
+    """Entries (A, b, c, d) of [[A, b I], [c I, d I]]: A with i.i.d. complex
+    Gaussian entries of variance 1/n, b, c and d complex Gaussian of variance 1."""
+    A = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) / math.sqrt(2 * n)
+    b, c, d = (complex(rng.normal(), rng.normal()) / math.sqrt(2) for _ in range(3))
+    return A, b, c, d
+
+
+def _draw_full(n: int, field: Field, rng: np.random.Generator) -> np.ndarray:
+    """2n x 2n matrix of the full algebra with i.i.d. Gaussian entries of
+    variance 1/(2n), split across the parts when complex."""
+    if field is Field.COMPLEX:
+        return (rng.normal(size=(2 * n, 2 * n)) + 1j * rng.normal(size=(2 * n, 2 * n))) / math.sqrt(4 * n)
+    return rng.normal(size=(2 * n, 2 * n)) / math.sqrt(2 * n)
+
+
+def _draw_psd_rank_one(n: int, field: Field, rng: np.random.Generator) -> np.ndarray:
+    """Projection v v* / |v|^2 onto a Gaussian vector of length 2n."""
+    if field is Field.COMPLEX:
+        v = rng.normal(size=2 * n) + 1j * rng.normal(size=2 * n)
+    else:
+        v = rng.normal(size=2 * n)
+    return np.outer(v, v.conj()) / max(float(np.real(np.vdot(v, v))), 1e-300)
+
+
+def _draw_psd_wishart(n: int, field: Field, rng: np.random.Generator) -> np.ndarray:
+    """G G* for G drawn by ``_draw_full``."""
+    G = _draw_full(n, field, rng)
+    return G @ G.conj().T
+
+
+def _draw_psd_diagonal(n: int, field: Field, rng: np.random.Generator) -> np.ndarray:
+    """Diagonal 2n x 2n matrix with entries uniform in [0, 1]."""
+    return np.diag(rng.uniform(0.0, 1.0, 2 * n)).astype(field.dtype)
+
+
+def _scalar_corners(
+    e: ScalarDiagonalElement | PairedCornerElement,
+) -> tuple[complex, complex, np.ndarray, float]:
+    """(a, b, K, defect) of an element [[a I, K], [L, b I]]: the corner K as
+    the criterion measures it, and how far L is from K* entrywise."""
     if isinstance(e, ScalarDiagonalElement):
-        raise UnsupportedSystemError(
-            "no positivity criterion is wired for the scalar-diagonal system"
-        )
-    if isinstance(e, PairedCornerElement):
-        a, b, C = complex(e.a), complex(e.b), e.C
-        if e.system.field is Field.COMPLEX:
-            if abs(a.imag) > tol or abs(b.imag) > tol:
-                return False
-            if np.abs(C.imag).max() > tol:
-                return False
+        return complex(e.a), complex(e.d), e.B, float(np.abs(e.C - e.B.conj().T).max())
+    if np.iscomplexobj(e.C):
+        # L = C^t, which is C* exactly when C is real
+        return complex(e.a), complex(e.b), e.C.real, float(np.abs(e.C.imag).max())
+    return complex(e.a), complex(e.b), e.C, 0.0
+
+
+def is_positive_by_criterion(e: SystemElement, tol: float = 1e-7) -> bool:
+    """Closed-form positivity test for every system.
+
+    Scalar-diagonal and paired shapes, [[a I, K], [L, b I]]: a and b real
+    and nonneg, L = K*, and ||K|| <= sqrt(ab); when ab <= tol^2 the corner
+    must vanish (||K|| <= tol).  Free-corner shape: A PSD, d >= 0,
+    c = conj(b), and d A >= |b|^2 I; when d <= tol this degenerates to
+    |b| <= tol with A PSD.  Self-adjointness is required within tol.
+    """
+    if not isinstance(e, FreeCornerElement):
+        a, b, K, defect = _scalar_corners(e)
+        if abs(a.imag) > tol or abs(b.imag) > tol or defect > tol:
+            return False
         ar, br = a.real, b.real
         if ar < -tol or br < -tol:
             return False
-        norm_c = operator_norm(C.real if np.iscomplexobj(C) else C)
+        norm_k = operator_norm(K)
         ab = max(ar, 0.0) * max(br, 0.0)
         if ab <= tol * tol:
-            return norm_c <= tol
-        return norm_c <= math.sqrt(ab) + tol
+            return norm_k <= tol
+        return norm_k <= math.sqrt(ab) + tol
     # free-corner shape
     A, b, c, d = e.A, complex(e.b), complex(e.c), complex(e.d)
     if abs(c - np.conj(b)) > tol:
@@ -460,18 +521,12 @@ def boundary_margin(e: SystemElement) -> float:
         live = [v for v in vals if v > 1e-12]
         return min(live) if live else math.inf
 
-    if isinstance(e, ScalarDiagonalElement):
-        raise UnsupportedSystemError(
-            "no positivity criterion is wired for the scalar-diagonal system"
-        )
-    if isinstance(e, PairedCornerElement):
-        a, b, C = complex(e.a), complex(e.b), e.C
+    if not isinstance(e, FreeCornerElement):
+        a, b, K, defect = _scalar_corners(e)
         parts = [abs(a.real), abs(b.real)]
         if a.real > 0 and b.real > 0:
-            norm_c = operator_norm(C.real if np.iscomplexobj(C) else C)
-            parts.append(abs(math.sqrt(a.real * b.real) - norm_c))
-        hm = herm_margin([abs(a.imag), abs(b.imag), float(np.abs(C.imag).max()) if np.iscomplexobj(C) else 0.0])
-        return min(min(parts), hm)
+            parts.append(abs(math.sqrt(a.real * b.real) - operator_norm(K)))
+        return min(min(parts), herm_margin([abs(a.imag), abs(b.imag), defect]))
     A, b, c, d = e.A, complex(e.b), complex(e.c), complex(e.d)
     hm = herm_margin([abs(c - np.conj(b)), hermiticity_defect(A), abs(d.imag)])
     lam_min = float(hermitian_part_eigenvalues(A)[0])

@@ -159,6 +159,17 @@ def test_falsify_extension_flags_non_hermitian_output():
     assert viol.hermiticity_defect > 1e-7
 
 
+def test_falsify_extension_calls_candidate_once_per_probe():
+    calls = []
+
+    def identity(M):
+        calls.append(M.shape)
+        return M
+
+    assert falsify_extension(identity, n=16, trials=3, rng_seed=0) is None
+    assert calls == [(32, 32)] * 3
+
+
 def test_falsify_extension_rejects_bad_n():
     with pytest.raises(ValueError):
         falsify_extension(lambda M: M, n=0)

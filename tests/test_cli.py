@@ -10,6 +10,7 @@ from opsyscheck import (
     Claim,
     ConfigError,
     MatrixPayload,
+    NonFiniteError,
     Report,
     RunConfig,
     claims_to_json,
@@ -101,6 +102,24 @@ def test_claim_round_trip():
     w = MatrixPayload.from_matrix(np.eye(2))
     c2 = Claim(id="x.z", anchor="with witness", status="fail", residual=2.0, witness=w)
     assert Claim.from_dict(c2.to_dict()) == c2
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_claim_rejects_non_finite_residual(bad):
+    with pytest.raises(NonFiniteError):
+        Claim(id="x.y", anchor="some statement", status="pass", residual=bad)
+
+
+def test_claims_json_rejects_non_finite():
+    w = MatrixPayload.from_matrix(np.array([[np.nan]]))
+    with pytest.raises(ValueError):
+        claims_to_json((Claim(id="x.y", anchor="a", status="pass", witness=w),))
+
+
+def test_report_json_rejects_non_finite():
+    claims = (Claim(id="x.y", anchor="a", status="pass", residual=0.0),)
+    with pytest.raises(ValueError):
+        report_to_json(Report(config=(), claims=claims, duration_seconds=float("inf")))
 
 
 def test_claims_json_deterministic():

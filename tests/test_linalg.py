@@ -57,10 +57,14 @@ def test_hermitian_eigenvalues_rejects_non_hermitian():
     assert vals.shape == (2,)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
 def test_eigenchecks_reject_non_finite(bad):
-    """NaN or inf reaches neither an eigenvalue nor a PSD verdict."""
+    """NaN or inf reaches neither a defect, an eigenvalue nor a PSD verdict,
+    and is refused before any arithmetic on it."""
     M = np.array([[bad, 0.0], [0.0, 1.0]])
+    with pytest.raises(NonFiniteError):
+        hermiticity_defect(M)
     with pytest.raises(NonFiniteError):
         hermitian_eigenvalues(M)
     with pytest.raises(NonFiniteError):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opsyscheck import (
     DomainViolationError,
@@ -12,7 +14,6 @@ from opsyscheck import (
     ScalarDiagonalElement,
     SystemId,
     SystemKind,
-    UnsupportedSystemError,
     boundary_margin,
     contains,
     embed,
@@ -23,14 +24,9 @@ from opsyscheck import (
     random_element,
     random_positive_element,
 )
+from opsyscheck.systems import _draw_positive, _draw_psd_diagonal, _draw_psd_rank_one, _draw_psd_wishart
 
 ALL_KINDS = list(SystemKind)
-LEMMA_KINDS = [
-    SystemKind.TRANSPOSE_PAIRED,
-    SystemKind.TRANSPOSE_PAIRED_COMPLEX,
-    SystemKind.FREE_CORNER,
-    SystemKind.FREE_CORNER_REAL,
-]
 
 
 def test_kind_tokens_and_fields():
@@ -147,7 +143,7 @@ def test_random_element_deterministic():
     assert not np.array_equal(e1.A, e3.A)
 
 
-@pytest.mark.parametrize("kind", LEMMA_KINDS)
+@pytest.mark.parametrize("kind", ALL_KINDS)
 def test_random_positive_is_psd(kind):
     s = SystemId(kind, 3)
     for seed in range(30):
@@ -157,12 +153,32 @@ def test_random_positive_is_psd(kind):
         assert is_positive_by_criterion(e)
 
 
-def test_random_positive_unsupported():
-    with pytest.raises(UnsupportedSystemError):
-        random_positive_element(SystemId(SystemKind.SCALAR_DIAGONAL, 2), rng_seed=0)
+def test_scalar_diagonal_criterion():
+    """[[aI, B], [C, dI]] is PSD iff a, d >= 0, C = B* and ||B|| <= sqrt(ad)."""
+    s = SystemId(SystemKind.SCALAR_DIAGONAL, 2)
+    B = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=np.complex128)
+    # the corner norm may reach sqrt(ad) exactly
+    assert is_positive_by_criterion(ScalarDiagonalElement(s, 0.5, 2.0, B, B.conj().T))
+    assert not is_positive_by_criterion(ScalarDiagonalElement(s, 0.5, 1.9, B, B.conj().T))
+    # a = 0 forces B = 0
+    Z = np.zeros((2, 2))
+    assert is_positive_by_criterion(ScalarDiagonalElement(s, 0.0, 1.0, Z, Z))
+    assert not is_positive_by_criterion(ScalarDiagonalElement(s, 0.0, 1.0, 0.1 * B, 0.1 * B.conj().T))
+    # C must be B*, and the scalars real and nonnegative
+    assert not is_positive_by_criterion(ScalarDiagonalElement(s, 1.0, 1.0, 0.5j * B, 0.5j * B.T))
+    assert not is_positive_by_criterion(ScalarDiagonalElement(s, 1.0 + 0.1j, 1.0, Z, Z))
+    assert not is_positive_by_criterion(ScalarDiagonalElement(s, -0.1, 1.0, Z, Z))
+    for e in (
+        ScalarDiagonalElement(s, 0.5, 2.0, B, B.conj().T),
+        ScalarDiagonalElement(s, 1.0, 1.0, 0.5j * B, 0.5j * B.T),
+    ):
+        assert is_positive_by_criterion(e) == is_psd(embed(e)).is_psd
+    near = ScalarDiagonalElement(s, 1.0, 1.0, (1.0 - 1e-9) * B, (1.0 - 1e-9) * B.conj().T)
+    assert boundary_margin(near) < 1e-7
+    assert boundary_margin(ScalarDiagonalElement(s, 4.0, 4.0, B, B.conj().T)) > 1.0
 
 
-@pytest.mark.parametrize("kind", LEMMA_KINDS)
+@pytest.mark.parametrize("kind", ALL_KINDS)
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_criterion_matches_eigenvalue_oracle(kind, n):
     """Closed-form positivity agrees with the spectrum away from the boundary."""
@@ -179,6 +195,32 @@ def test_criterion_matches_eigenvalue_oracle(kind, n):
         oracle = defect <= 1e-10 and float(np.linalg.eigvalsh(H)[0]) >= 0.0
         assert is_positive_by_criterion(e) == oracle
     assert checked > 100
+
+
+SEEDS = st.integers(min_value=0, max_value=2**63 - 1)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("n", range(1, 7))
+@settings(max_examples=25, deadline=None)
+@given(seed=SEEDS)
+def test_positive_draws_pass_criterion(kind, n, seed):
+    e = _draw_positive(SystemId(kind, n), np.random.default_rng(seed))
+    assert is_psd(embed(e), tol=1e-9).is_psd
+    assert is_positive_by_criterion(e)
+
+
+@pytest.mark.parametrize("field", list(Field))
+@pytest.mark.parametrize("n", range(1, 7))
+@settings(max_examples=25, deadline=None)
+@given(seed=SEEDS)
+def test_full_algebra_psd_draws(field, n, seed):
+    rng = np.random.default_rng(seed)
+    for draw in (_draw_psd_rank_one, _draw_psd_wishart, _draw_psd_diagonal):
+        P = draw(n, field, rng)
+        assert P.shape == (2 * n, 2 * n)
+        assert P.dtype == field.dtype
+        assert is_psd(P, tol=1e-9).is_psd
 
 
 def test_paired_criterion_degenerate_scalar():
