@@ -23,11 +23,16 @@ from typing import Callable
 import numpy as np
 
 from .linalg import (
+    EXACT_TOL,
+    IDENTITY_TOL,
+    MARGIN,
+    MEMBERSHIP_TOL,
+    PSD_TOL,
     as_square,
     block2x2,
     hermitian_eigenvalues,
     hermitian_part_eigenvalues,
-    hermiticity_defect,
+    is_psd,
     matrix_unit,
 )
 from .maps import (
@@ -37,8 +42,6 @@ from .maps import (
     quarter_transpose_witness_norm,
 )
 from .systems import Field, _draw_psd_diagonal, _draw_psd_rank_one, _draw_psd_wishart
-
-CONTRADICTION_MARGIN = 1e-6
 
 
 class Outcome(enum.Enum):
@@ -80,7 +83,7 @@ class SchurReport:
     agrees: bool
 
 
-def schur_implication(P, X, tol: float = 1e-7) -> SchurReport:
+def schur_implication(P, X, tol: float = PSD_TOL) -> SchurReport:
     """Eigencheck both sides of the Schur-complement equivalence."""
     P = np.asarray(P, dtype=np.complex128)
     X = np.asarray(X, dtype=np.complex128)
@@ -133,13 +136,13 @@ def _corner_forcing_steps(n: int, scale: float) -> list[Step]:
             X = scale * matrix_unit(n, i, j)
             P = (scale ** 2) * matrix_unit(n, j, j)
             r_schur = max(r_schur, float(np.abs(X.conj().T @ X - P).max()))
-            rep = schur_implication(P, X, tol=1e-10)
+            rep = schur_implication(P, X, tol=MEMBERSHIP_TOL)
             r_schur = max(r_schur, abs(rep.block_min_eigenvalue), abs(rep.complement_min_eigenvalue))
     steps.append(
         Step(
             "each certificate [[E_ii, E_ij], [E_ji, I]] is positive semidefinite",
             r_psd,
-            1e-12,
+            EXACT_TOL,
         )
     )
     steps.append(
@@ -147,14 +150,14 @@ def _corner_forcing_steps(n: int, scale: float) -> list[Step]:
             "certificate = PSD diagonal part + subspace part, so the extension's"
             " value dominates the known image of the subspace part",
             r_decomp,
-            1e-12,
+            EXACT_TOL,
         )
     )
     steps.append(
         Step(
             f"Schur step: forced corner {scale:g} E_ij forces upper-left >= {scale ** 2:g} E_jj",
             r_schur,
-            1e-10,
+            MEMBERSHIP_TOL,
         )
     )
     sum_D = sum(matrix_unit(n, i, i) for i in range(1, n + 1))
@@ -195,7 +198,7 @@ def _scaling_certificate(n: int, scale: float, threshold: int) -> Verdict:
             Step(
                 "eigencheck of the violated inequality I >= forced E_11",
                 abs(float(hermitian_eigenvalues(gap)[0]) + margin),
-                1e-12,
+                EXACT_TOL,
             )
         )
         return Verdict(
@@ -245,7 +248,7 @@ def certify_quarter_transpose(n: int) -> Verdict:
                 f"amplified witness norm n/4 = {n / 4:g} exceeds 1, but this"
                 " certificate draws no conclusion below its threshold"
             )
-        steps = verdict.narrative + (Step(text, abs(wn - n / 4.0), 1e-10),)
+        steps = verdict.narrative + (Step(text, abs(wn - n / 4.0), MEMBERSHIP_TOL),)
         verdict = dataclasses.replace(verdict, narrative=steps)
     return verdict
 
@@ -273,7 +276,7 @@ def certify_offdiag_swap(n: int) -> Verdict:
                 "the identity map of the full algebra extends it and preserves"
                 " positivity on sampled PSD inputs",
                 worst,
-                1e-12,
+                EXACT_TOL,
             ),
         )
         return Verdict(
@@ -286,20 +289,21 @@ def certify_offdiag_swap(n: int) -> Verdict:
     return _scaling_certificate(n, 1.0, threshold=1)
 
 
-def squeeze_bounds(D, cutoff: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
+def squeeze_bounds(D) -> tuple[np.ndarray, np.ndarray]:
     """Range-restricted Schur bounds forcing the lower-right value on D^t.
 
     For 0 <= D <= I, positivity of [[D^t, D^t], [D^t, X]] forces
     X >= D^t (D^t)^+ D^t and the complementary certificate built from I - D
     forces X <= I - (I - D^t)(I - D^t)^+(I - D^t); both sides collapse to
-    D^t.  Pseudoinverses cut singular values below ``cutoff``.
+    D^t.  Pseudoinverses cut singular values below MEMBERSHIP_TOL (relative
+    to the largest).
     """
     D = np.asarray(D, dtype=np.complex128)
     n = D.shape[0]
     Dt = D.T
-    lower = Dt @ np.linalg.pinv(Dt, rcond=cutoff) @ Dt
+    lower = Dt @ np.linalg.pinv(Dt, rcond=MEMBERSHIP_TOL) @ Dt
     J = np.eye(n, dtype=np.complex128) - Dt
-    upper = np.eye(n, dtype=np.complex128) - J @ np.linalg.pinv(J, rcond=cutoff) @ J
+    upper = np.eye(n, dtype=np.complex128) - J @ np.linalg.pinv(J, rcond=MEMBERSHIP_TOL) @ J
     return lower, upper
 
 
@@ -372,29 +376,28 @@ def certify_corner_transpose(n: int, rng_seed: int = 0) -> Verdict:
         "square-expansion identities hold on the self-adjoint spanning set"
         " with c in {1, i}, pinning the images of Hermitian-paired corners",
         r_sq,
-        1e-10,
+        MEMBERSHIP_TOL,
     )
 
-    r_flip = 0.0
-    for A in _hermitian_basis(n):
-        for c in (1.0 + 0.0j, 1.0j):
-            Z = np.zeros((n, n), dtype=np.complex128)
-            R_plus = np.block([[Z, np.conj(c) * A.T], [c * A.T, Z]])
-            R_minus = np.block([[Z, np.conj(-c) * A.T], [-c * A.T, Z]])
-            r_flip = max(r_flip, float(np.abs(R_plus + R_minus).max()))
-    step2 = Step(
-        "sign flip c -> -c negates the forced image, so the pinning is linear"
-        " in the corner",
-        r_flip,
-        1e-12,
-    )
-
-    r_rec = 0.0
     Z = np.zeros((n, n), dtype=np.complex128)
 
     def forced_paired_image(A: np.ndarray, c: complex) -> np.ndarray:
         return np.block([[Z, np.conj(c) * A.T], [c * A.T, Z]])
 
+    r_flip = 0.0
+    for A in _hermitian_basis(n):
+        for c in (1.0 + 0.0j, 1.0j):
+            R_plus = forced_paired_image(A, c)
+            R_minus = forced_paired_image(A, -c)
+            r_flip = max(r_flip, float(np.abs(R_plus + R_minus).max()))
+    step2 = Step(
+        "sign flip c -> -c negates the forced image, so the pinning is linear"
+        " in the corner",
+        r_flip,
+        EXACT_TOL,
+    )
+
+    r_rec = 0.0
     draws = [
         (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) for _ in range(10)
     ]
@@ -413,7 +416,7 @@ def certify_corner_transpose(n: int, rng_seed: int = 0) -> Verdict:
         "Cartesian decomposition C = A + iB rebuilds the forced image of an"
         " arbitrary lower corner as its blockwise transpose",
         r_rec,
-        1e-12,
+        EXACT_TOL,
     )
 
     r_squeeze = lower_right_forcing_check(n, trials=50, rng_seed=rng_seed)
@@ -421,7 +424,7 @@ def certify_corner_transpose(n: int, rng_seed: int = 0) -> Verdict:
         "PSD squeeze pins the extension's lower-right values (pseudoinverse"
         " restricted to the range)",
         r_squeeze,
-        1e-9,
+        IDENTITY_TOL,
     )
 
     W = corner_witness(n)
@@ -434,7 +437,7 @@ def certify_corner_transpose(n: int, rng_seed: int = 0) -> Verdict:
         "the forced blockwise transpose sends the rank-one corner witness"
         " (eigenvalues {2, 0}) to a matrix with eigenvalue -1",
         max(r_in, abs(min_out + 1.0)),
-        1e-10,
+        MEMBERSHIP_TOL,
     )
 
     steps = (step1, step2, step3, step4, step5)
@@ -461,7 +464,6 @@ def falsify_extension(
     n: int,
     trials: int = 1000,
     rng_seed: int = 0,
-    tol: float = 1e-7,
     field: Field = Field.COMPLEX,
 ) -> ExtensionViolation | None:
     """Search for a PSD input whose image under the candidate is not PSD.
@@ -484,15 +486,14 @@ def falsify_extension(
         else:
             S = draws[t % 3](n, field, rng)
         out = as_square(candidate(S))
-        defect = hermiticity_defect(out)
-        min_eig = float(hermitian_part_eigenvalues(out)[0])
-        if defect > tol or min_eig < -tol:
+        verdict = is_psd(out, PSD_TOL)
+        if not verdict.is_psd:
             return ExtensionViolation(
                 trial=t,
                 input=S,
                 output=out,
-                min_output_eigenvalue=min_eig,
-                hermiticity_defect=defect,
+                min_output_eigenvalue=verdict.min_eigenvalue,
+                hermiticity_defect=verdict.hermiticity_defect,
             )
     return None
 
@@ -511,8 +512,8 @@ def verify_verdict_invariants(v: Verdict) -> list[str]:
                 f"step {k} residual {s.residual:.3e} exceeds tolerance {s.tolerance:.3e}"
             )
     if v.outcome is Outcome.CONTRADICTION:
-        if v.margin is None or v.margin < CONTRADICTION_MARGIN:
-            problems.append(f"contradiction margin {v.margin} below {CONTRADICTION_MARGIN}")
+        if v.margin is None or v.margin < MARGIN:
+            problems.append(f"contradiction margin {v.margin} below {MARGIN}")
         if len(v.witnesses) < 2:
             problems.append("contradiction must carry a witness pair")
     return problems

@@ -62,8 +62,6 @@ def _add_shared(p: argparse.ArgumentParser) -> None:
     p.add_argument("--trials", type=int, default=500)
     p.add_argument("--restarts", type=int, default=50)
     p.add_argument("--seed", type=int, default=None, help="overrides OPSYS_SEED")
-    p.add_argument("--tol-identity", type=float, default=1e-9)
-    p.add_argument("--tol-psd", type=float, default=1e-7)
     p.add_argument("--output", choices=["text", "json", "csv"], default="text")
     p.add_argument("--output-path", default=None)
 
@@ -128,8 +126,6 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         trials=args.trials,
         restarts=args.restarts,
         seed=_resolve_seed(args),
-        tol_identity=args.tol_identity,
-        tol_psd=args.tol_psd,
         output=args.output,
         output_path=args.output_path,
     )

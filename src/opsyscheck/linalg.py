@@ -1,10 +1,11 @@
 """Dense linear-algebra helpers for 2x2 block matrices.
 
 Everything downstream works with square complex or real matrices split into
-four n x n blocks.  This module owns the low-level conventions: eigenvalue
-and singular-value computations, the PSD decision rule, block assembly and
-extraction, the reduced characteristic polynomial for scalar-cornered block
-matrices, and compression onto the span of a few vectors.
+four n x n blocks.  This module owns the low-level conventions: the
+tolerance table every module decides with, eigenvalue and singular-value
+computations, the PSD decision rule, block assembly and extraction, the
+reduced characteristic polynomial for scalar-cornered block matrices, and
+compression onto the span of a few vectors.
 """
 
 from __future__ import annotations
@@ -12,6 +13,20 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
+
+# The tolerance table: one threshold per kind of decision, shared by every
+# module.  A threshold used at a single site stays next to that site.
+# identities on matrices with small exact entries (units, 0/1 certificates)
+EXACT_TOL = 1e-12
+# numerically zero after a few arithmetic operations: subspace membership,
+# rank cuts, forced values of the certificates
+MEMBERSHIP_TOL = 1e-10
+# identities after O(n^3) arithmetic: products, eigensolves, SVDs
+IDENTITY_TOL = 1e-9
+# sign of the smallest eigenvalue when deciding positive semidefiniteness
+PSD_TOL = 1e-7
+# an effect that is real, not roundoff: violation margins, boundary filters
+MARGIN = 1e-6
 
 
 class DimensionMismatchError(ValueError):
@@ -76,16 +91,16 @@ def _eigvalsh_hermitian_part(A: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh((A + A.conj().T) / 2.0)
 
 
-def hermitian_eigenvalues(M, tol: float = 1e-9) -> np.ndarray:
+def hermitian_eigenvalues(M) -> np.ndarray:
     """Eigenvalues of a Hermitian matrix, ascending.
 
     Uses the symmetric/Hermitian-specialized solver; refuses input whose
-    hermiticity defect exceeds ``tol``, and NaN or infinite entries.
+    hermiticity defect exceeds IDENTITY_TOL, and NaN or infinite entries.
     """
     A = as_square(M)
     defect = hermiticity_defect(A)
-    if defect > tol:
-        raise NotHermitianError(f"hermiticity defect {defect:.3e} exceeds tol {tol:.3e}")
+    if defect > IDENTITY_TOL:
+        raise NotHermitianError(f"hermiticity defect {defect:.3e} exceeds tol {IDENTITY_TOL:.3e}")
     return _eigvalsh_hermitian_part(A)
 
 
@@ -109,7 +124,7 @@ class PsdVerdict:
     hermiticity_defect: float
 
 
-def is_psd(M, tol: float = 1e-7) -> PsdVerdict:
+def is_psd(M, tol: float = PSD_TOL) -> PsdVerdict:
     """Decide positive semidefiniteness with a tolerance.
 
     The matrix is symmetrized first; the verdict is positive only when the
@@ -136,20 +151,9 @@ def matrix_unit(n: int, i: int, j: int) -> np.ndarray:
     return E
 
 
-def _normalize_block(X, name: str) -> np.ndarray:
-    A = np.asarray(X)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise DimensionMismatchError(f"block {name} must be square, got shape {A.shape}")
-    if A.dtype.kind == "c":
-        return A.astype(np.complex128, copy=False)
-    if A.dtype.kind in "iufb":
-        return A.astype(np.float64, copy=False)
-    raise FieldMismatchError(f"block {name} has unsupported dtype {A.dtype}")
-
-
 def block2x2(A, B, C, D) -> np.ndarray:
     """Assemble [[A, B], [C, D]] from four n x n blocks over one field."""
-    blocks = [_normalize_block(X, name) for X, name in ((A, "A"), (B, "B"), (C, "C"), (D, "D"))]
+    blocks = [as_square(X, f"block {name}") for X, name in ((A, "A"), (B, "B"), (C, "C"), (D, "D"))]
     n = blocks[0].shape[0]
     if any(X.shape[0] != n for X in blocks):
         raise DimensionMismatchError(
@@ -261,7 +265,7 @@ def char_poly_block_eval(A, b, c, d, lam) -> complex:
 
 @dataclasses.dataclass(frozen=True)
 class Isometry:
-    """Columns form an orthonormal family: V*V = I within 1e-12."""
+    """Columns form an orthonormal family: V*V = I within EXACT_TOL."""
 
     matrix: np.ndarray
 
@@ -270,8 +274,8 @@ class Isometry:
         if V.ndim != 2 or V.shape[1] == 0 or V.shape[1] > V.shape[0]:
             raise DimensionMismatchError(f"isometry must be tall, got shape {V.shape}")
         gram = V.conj().T @ V
-        if np.abs(gram - np.eye(V.shape[1])).max() > 1e-12:
-            raise ValueError("columns are not orthonormal to 1e-12")
+        if np.abs(gram - np.eye(V.shape[1])).max() > EXACT_TOL:
+            raise ValueError(f"columns are not orthonormal to {EXACT_TOL:g}")
         object.__setattr__(self, "matrix", V)
 
     @property
@@ -293,10 +297,10 @@ class Isometry:
         return V.conj() @ V.T
 
 
-def orthonormalize(vectors, drop_tol: float = 1e-10) -> np.ndarray:
+def orthonormalize(vectors) -> np.ndarray:
     """Modified Gram-Schmidt with re-orthogonalization.
 
-    Columns whose residual after projection falls below ``drop_tol`` are
+    Columns whose residual after projection is at most MEMBERSHIP_TOL are
     dropped.  Returns an n x k matrix; raises ZeroSpanError when k = 0.
     """
     cols: list[np.ndarray] = []
@@ -312,14 +316,14 @@ def orthonormalize(vectors, drop_tol: float = 1e-10) -> np.ndarray:
             for q in cols:
                 w = w - q * (q.conj() @ w)
         norm = float(np.linalg.norm(w))
-        if norm > drop_tol:
+        if norm > MEMBERSHIP_TOL:
             cols.append(w / norm)
     if not cols:
         raise ZeroSpanError("all spanning vectors are numerically zero")
     return np.array(cols).T
 
 
-def compress_to_span(M, x1, x2, y1, y2, drop_tol: float = 1e-10) -> tuple[np.ndarray, Isometry]:
+def compress_to_span(M, x1, x2, y1, y2) -> tuple[np.ndarray, Isometry]:
     """Compress a scalar-diagonal block matrix onto the span of four vectors.
 
     ``M`` must be [[a I, B], [C, d I]] of order 2n; the xs and ys are vectors
@@ -331,7 +335,7 @@ def compress_to_span(M, x1, x2, y1, y2, drop_tol: float = 1e-10) -> tuple[np.nda
     A, B, C, D = blocks2x2(M)
     n = A.shape[0]
     for name, blk in (("upper-left", A), ("lower-right", D)):
-        if np.abs(blk - blk[0, 0] * np.eye(n)).max() > 1e-9:
+        if np.abs(blk - blk[0, 0] * np.eye(n)).max() > IDENTITY_TOL:
             raise ValueError(f"{name} block is not a scalar multiple of the identity")
     vs = []
     for name, v in (("x1", x1), ("x2", x2), ("y1", y1), ("y2", y2)):
@@ -339,7 +343,7 @@ def compress_to_span(M, x1, x2, y1, y2, drop_tol: float = 1e-10) -> tuple[np.nda
         if w.shape[0] != n:
             raise DimensionMismatchError(f"vector {name} has length {w.shape[0]}, expected {n}")
         vs.append(w)
-    V = orthonormalize(vs, drop_tol=drop_tol)
+    V = orthonormalize(vs)
     iso = Isometry(V)
     k = iso.rank
     a = A[0, 0]

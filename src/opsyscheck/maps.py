@@ -33,6 +33,11 @@ import math
 import numpy as np
 
 from .linalg import (
+    EXACT_TOL,
+    IDENTITY_TOL,
+    MEMBERSHIP_TOL,
+    PSD_TOL,
+    DimensionMismatchError,
     SparseBasis,
     as_square,
     blocks2x2,
@@ -44,7 +49,6 @@ from .linalg import (
     operator_norm,
 )
 from .systems import (
-    MEMBERSHIP_TOL,
     DomainViolationError,
     Field,
     PairedCornerElement,
@@ -113,8 +117,10 @@ class MapId:
 
 def block_transpose(M) -> np.ndarray:
     """Transpose each of the four blocks in place."""
-    A, B, C, D = blocks2x2(M)
-    return np.block([[A.T, B.T], [C.T, D.T]])
+    A = as_square(M)
+    if A.shape[0] % 2 != 0:
+        raise DimensionMismatchError(f"order {A.shape[0]} is odd, cannot split into blocks")
+    return _blockwise(MapKind.BLOCK_TRANSPOSE, A)
 
 
 def _opnorm(M: np.ndarray) -> float:
@@ -142,7 +148,7 @@ def _blockwise(kind: MapKind, M: np.ndarray) -> np.ndarray:
     return out
 
 
-def apply(m: MapId, x, tol: float = MEMBERSHIP_TOL):
+def apply(m: MapId, x):
     """Apply a map to an element of its domain or to a matrix.
 
     Elements come back as elements, matrices as matrices.  Matrices are
@@ -158,10 +164,10 @@ def apply(m: MapId, x, tol: float = MEMBERSHIP_TOL):
             f"matrix order {M.shape[0]} does not match map order {2 * m.n}"
         )
     if dom is not None:
-        if not contains(dom, M, tol):
-            raise DomainViolationError(f"matrix is not in {dom.kind.token} at tol {tol}")
+        if not contains(dom, M):
+            raise DomainViolationError(f"matrix is not in {dom.kind.token} at tol {MEMBERSHIP_TOL}")
     elif m.field is Field.REAL and M.dtype.kind == "c":
-        if np.abs(M.imag).max() > tol:
+        if np.abs(M.imag).max() > MEMBERSHIP_TOL:
             raise DomainViolationError("real-algebra map applied to a complex matrix")
         M = M.real
     return _blockwise(m.kind, M)
@@ -197,12 +203,12 @@ class StructuralReport:
     passed: bool
 
 
-def check_structural(m: MapId, trials: int = 25, rng_seed: int = 0, tol: float = 1e-9) -> StructuralReport:
+def check_structural(m: MapId, trials: int = 25, rng_seed: int = 0) -> StructuralReport:
     """Verify the map is unital, self-adjointness-preserving and linear.
 
     Self-adjointness means apply(M*) = apply(M)* over the complex field and
     apply(M^t) = apply(M)^t over the real field.  Failures are counted and
-    reported, never raised.
+    reported, never raised; a residual above IDENTITY_TOL is a failure.
     """
     rng = np.random.default_rng(rng_seed)
     n2 = 2 * m.n
@@ -220,7 +226,7 @@ def check_structural(m: MapId, trials: int = 25, rng_seed: int = 0, tol: float =
         else:
             r = float(np.abs(apply(m, M.T) - apply(m, M).T).max())
         sa_worst = max(sa_worst, r)
-        if r > tol:
+        if r > IDENTITY_TOL:
             sa_fail += 1
 
         N = _random_domain_matrix(m, rng)
@@ -234,10 +240,10 @@ def check_structural(m: MapId, trials: int = 25, rng_seed: int = 0, tol: float =
             np.abs(apply(m, alpha * M + beta * N) - (alpha * apply(m, M) + beta * apply(m, N))).max()
         )
         lin_worst = max(lin_worst, r)
-        if r > tol:
+        if r > IDENTITY_TOL:
             lin_fail += 1
 
-    passed = unital_residual <= tol and sa_fail == 0 and lin_fail == 0
+    passed = unital_residual <= IDENTITY_TOL and sa_fail == 0 and lin_fail == 0
     return StructuralReport(
         trials=trials,
         unital_residual=unital_residual,
@@ -293,9 +299,7 @@ class PositivityReport:
 _MAX_STORED_VIOLATIONS = 16
 
 
-def check_positivity_preserving(
-    m: MapId, trials: int = 1000, rng_seed: int = 0, tol: float = 1e-7
-) -> PositivityReport:
+def check_positivity_preserving(m: MapId, trials: int = 1000, rng_seed: int = 0) -> PositivityReport:
     """Push seeded PSD inputs through the map and eigencheck the outputs.
 
     The first trial for the full block transpose (n >= 2) is the corner
@@ -309,7 +313,7 @@ def check_positivity_preserving(
     for t in range(trials):
         S = _positive_sample(m, rng, t)
         out = apply(m, S)
-        verdict = is_psd(out, tol)
+        verdict = is_psd(out, PSD_TOL)
         min_out = min(min_out, verdict.min_eigenvalue)
         if not verdict.is_psd:
             count += 1
@@ -499,13 +503,13 @@ def estimate_map_norm(
     return NormEstimate(lower_bound=lower, upper_bound=upper, witness=W, strategy=strategy)
 
 
-def offdiag_swap_norm_bound(a, b, C, tol: float = 1e-9) -> float:
+def offdiag_swap_norm_bound(a, b, C) -> float:
     """Closed-form upper bound (|a| + |b| + sqrt((|b|-|a|)^2 + 4||C||^2)) / 2
     on the image norm under the complex off-diagonal swap.
 
     Requires the embedded element [[aI, C], [C^t, bI]] to have norm at most
-    1 + tol.  The formula is symmetric in |a| and |b|, so it also covers the
-    element with the two scalars traded.
+    1 + IDENTITY_TOL.  The formula is symmetric in |a| and |b|, so it also
+    covers the element with the two scalars traded.
     """
     C = as_square(np.asarray(C, dtype=np.complex128), "C")
     n = C.shape[0]
@@ -513,8 +517,8 @@ def offdiag_swap_norm_bound(a, b, C, tol: float = 1e-9) -> float:
     b = complex(b)
     s = SystemId(SystemKind.TRANSPOSE_PAIRED_COMPLEX, n)
     nM = operator_norm(embed(PairedCornerElement(s, a, b, C)))
-    if nM > 1.0 + tol:
-        raise PreconditionError(f"element norm {nM:.6f} exceeds 1 + {tol:.1e}")
+    if nM > 1.0 + IDENTITY_TOL:
+        raise PreconditionError(f"element norm {nM:.6f} exceeds 1 + {IDENTITY_TOL:.1e}")
     nC = operator_norm(C)
     return 0.5 * (abs(a) + abs(b) + math.sqrt((abs(b) - abs(a)) ** 2 + 4.0 * nC * nC))
 
@@ -535,7 +539,7 @@ def swap_bound_domination(n: int, samples: int = 10_000, rng_seed: int = 0) -> f
         e = _draw_element(s, rng, 1.0)
         M = embed(e)
         nm = _opnorm(M)
-        if nm < 1e-12:
+        if nm < EXACT_TOL:
             continue
         # scale to the unit ball, brushing the boundary on half the draws
         factor = 1.0 if t % 2 == 0 else float(rng.uniform(0.1, 1.0))
@@ -564,7 +568,7 @@ class SchwarzReport:
     candidate: str
 
 
-def kadison_schwarz_check(m: MapId, x, tol: float = 1e-9) -> SchwarzReport:
+def kadison_schwarz_check(m: MapId, x) -> SchwarzReport:
     """Schwarz-inequality defect for a map's forced extension candidate.
 
     M^2 leaves the domain of the restricted maps, so the check evaluates a
@@ -573,7 +577,7 @@ def kadison_schwarz_check(m: MapId, x, tol: float = 1e-9) -> SchwarzReport:
     composition with the trace-averaging compression onto scalar-diagonal
     form.  Full-algebra maps are their own candidate.  The defect matrix is
     candidate(M^2) - (map(M))^2; the inequality holds when its smallest
-    eigenvalue is >= -tol.
+    eigenvalue is >= -IDENTITY_TOL.
     """
     M = embed(x) if isinstance(x, SystemElement) else as_square(x)
     dom = m.domain
@@ -596,7 +600,7 @@ def kadison_schwarz_check(m: MapId, x, tol: float = 1e-9) -> SchwarzReport:
     FM = _blockwise(m.kind, M)
     delta = evaluated - FM @ FM
     dmin = float(hermitian_part_eigenvalues(delta)[0])
-    return SchwarzReport(defect_min_eigenvalue=dmin, holds=dmin >= -tol, candidate=candidate)
+    return SchwarzReport(defect_min_eigenvalue=dmin, holds=dmin >= -IDENTITY_TOL, candidate=candidate)
 
 
 def corner_square_identities(A, c, d) -> float:
@@ -611,7 +615,7 @@ def corner_square_identities(A, c, d) -> float:
     and returns the largest deviation across the three.
     """
     A = as_square(np.asarray(A, dtype=np.complex128), "A")
-    if hermiticity_defect(A) > 1e-12:
+    if hermiticity_defect(A) > EXACT_TOL:
         raise PreconditionError("A must be self-adjoint")
     c = complex(c)
     d = float(d)

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import certificates, maps, report, systems
 from .certificates import Outcome, Verdict, verify_verdict_invariants
-from .linalg import hermitian_eigenvalues, is_psd, operator_norm
+from .linalg import IDENTITY_TOL, MARGIN, MEMBERSHIP_TOL, hermitian_eigenvalues, is_psd, operator_norm
 from .maps import MapId, MapKind
 from .report import Claim, MatrixPayload, Report, STATUS_FAIL, STATUS_PASS
 from .systems import Field, LEMMA_KINDS, SystemId, SystemKind
@@ -43,8 +43,6 @@ NORM_DEFAULT_N = {
 VERIFY_TARGETS = ("lemma", "maps", "swapbc", "ks")
 CERTIFY_TARGETS = ("phi", "upsilon", "gamma")
 
-BOUNDARY_MARGIN_FILTER = 1e-6
-
 
 @dataclasses.dataclass(frozen=True)
 class RunConfig:
@@ -55,8 +53,6 @@ class RunConfig:
     trials: int = 500
     restarts: int = 50
     seed: int = 0
-    tol_identity: float = 1e-9
-    tol_psd: float = 1e-7
     output: str = "text"
     output_path: str | None = None
 
@@ -101,11 +97,11 @@ def lemma_claims(cfg: RunConfig) -> list[Claim]:
                     e = systems._draw_element(s, rng, 1.0)
                 else:
                     e = systems._draw_positive(s, rng)
-                if systems.boundary_margin(e) <= BOUNDARY_MARGIN_FILTER:
+                if systems.boundary_margin(e) <= MARGIN:
                     continue
                 checked += 1
-                crit = systems.is_positive_by_criterion(e, cfg.tol_psd)
-                oracle = is_psd(systems.embed(e), cfg.tol_psd).is_psd
+                crit = systems.is_positive_by_criterion(e)
+                oracle = is_psd(systems.embed(e)).is_psd
                 if crit != oracle:
                     disagreements += 1
             claims.append(
@@ -130,7 +126,7 @@ def maps_claims(cfg: RunConfig) -> list[Claim]:
             continue
         for n in cfg.n_values:
             m = MapId(kind, n)
-            rep = maps.check_structural(m, trials=25, rng_seed=_seed(cfg, 2, kidx, n), tol=cfg.tol_identity)
+            rep = maps.check_structural(m, trials=25, rng_seed=_seed(cfg, 2, kidx, n))
             worst = max(rep.unital_residual, rep.self_adjoint_worst, rep.linear_worst)
             claims.append(
                 Claim(
@@ -140,11 +136,9 @@ def maps_claims(cfg: RunConfig) -> list[Claim]:
                     residual=worst,
                 )
             )
-            prep = maps.check_positivity_preserving(
-                m, trials=cfg.trials, rng_seed=_seed(cfg, 3, kidx, n), tol=cfg.tol_psd
-            )
+            prep = maps.check_positivity_preserving(m, trials=cfg.trials, rng_seed=_seed(cfg, 3, kidx, n))
             if kind is MapKind.BLOCK_TRANSPOSE and n >= 2:
-                found = prep.violation_count >= 1 and prep.min_output_eigenvalue <= -1e-6
+                found = prep.violation_count >= 1 and prep.min_output_eigenvalue <= -MARGIN
                 witness = (
                     MatrixPayload.from_matrix(prep.violations[0].input)
                     if prep.violations
@@ -183,7 +177,7 @@ def swapbc_claims(cfg: RunConfig) -> list[Claim]:
             Claim(
                 id=f"swapbc.n={n}.singular-values",
                 anchor="sorted singular values are invariant under trading the two scalar corners",
-                status=_pass_fail(dev <= 1e-9),
+                status=_pass_fail(dev <= IDENTITY_TOL),
                 residual=dev,
             )
         )
@@ -219,7 +213,7 @@ def ks_claims(cfg: RunConfig) -> list[Claim]:
             f = systems._draw_selfadjoint(corner_sys, rng)
             worst = max(worst, maps.corner_square_identities(f.A, f.c, f.d.real))
             e = systems._draw_selfadjoint(corner_sys, rng)
-            ks = maps.kadison_schwarz_check(corner_map, e, tol=cfg.tol_identity)
+            ks = maps.kadison_schwarz_check(corner_map, e)
             worst = max(worst, abs(ks.defect_min_eigenvalue))
         claims.append(
             Claim(
@@ -228,7 +222,7 @@ def ks_claims(cfg: RunConfig) -> list[Claim]:
                     "block-square displays hold entrywise and the blockwise-transpose"
                     " candidate has zero Schwarz defect on the free-corner system"
                 ),
-                status=_pass_fail(worst <= 1e-10),
+                status=_pass_fail(worst <= MEMBERSHIP_TOL),
                 residual=worst,
             )
         )
@@ -245,7 +239,7 @@ def ks_claims(cfg: RunConfig) -> list[Claim]:
                 e = systems.ScalarDiagonalElement(sd_sys, 0.5, 0.5, B, B.conj().T)
             else:
                 e = systems._draw_selfadjoint(sd_sys, rng)
-            ks = maps.kadison_schwarz_check(sd_map, e, tol=cfg.tol_identity)
+            ks = maps.kadison_schwarz_check(sd_map, e)
             worst_defect = min(worst_defect, ks.defect_min_eigenvalue)
         if n <= 16:
             claims.append(
@@ -255,7 +249,7 @@ def ks_claims(cfg: RunConfig) -> list[Claim]:
                         "trace-averaged compression candidate satisfies the Schwarz"
                         " inequality on self-adjoint inputs"
                     ),
-                    status=_pass_fail(worst_defect >= -cfg.tol_identity),
+                    status=_pass_fail(worst_defect >= -IDENTITY_TOL),
                     residual=max(0.0, -worst_defect),
                 )
             )
@@ -267,7 +261,7 @@ def ks_claims(cfg: RunConfig) -> list[Claim]:
                         "above the threshold the compression candidate shows a"
                         " negative Schwarz defect, so it is no longer positive"
                     ),
-                    status=_pass_fail(worst_defect <= -1e-6),
+                    status=_pass_fail(worst_defect <= -MARGIN),
                     residual=worst_defect,
                 )
             )
@@ -314,7 +308,7 @@ def norm_claims(cfg: RunConfig) -> list[Claim]:
             Claim(
                 id=f"norm.{token}.n={n}.witness-unit",
                 anchor="stored witness has unit norm",
-                status=_pass_fail(abs(wn - 1.0) <= 1e-9),
+                status=_pass_fail(abs(wn - 1.0) <= IDENTITY_TOL),
                 residual=abs(wn - 1.0),
             )
         )
@@ -323,7 +317,7 @@ def norm_claims(cfg: RunConfig) -> list[Claim]:
             Claim(
                 id=f"norm.{token}.n={n}.image-norm",
                 anchor="witness image norm reproduces the reported lower bound",
-                status=_pass_fail(abs(img - est.lower_bound) <= 1e-9),
+                status=_pass_fail(abs(img - est.lower_bound) <= IDENTITY_TOL),
                 residual=abs(img - est.lower_bound),
             )
         )
@@ -333,7 +327,7 @@ def norm_claims(cfg: RunConfig) -> list[Claim]:
                 Claim(
                     id=f"norm.{token}.n={n}.upper-bound-respected",
                     anchor="no sampled ratio exceeds the closed-form upper bound",
-                    status=_pass_fail(over <= 1e-9),
+                    status=_pass_fail(over <= IDENTITY_TOL),
                     residual=over,
                 )
             )
@@ -345,7 +339,7 @@ def norm_claims(cfg: RunConfig) -> list[Claim]:
                 Claim(
                     id=f"norm.{token}.n={n}.bound-dominates",
                     anchor="closed-form bound dominates the image norm on every sampled element",
-                    status=_pass_fail(margin >= -1e-9),
+                    status=_pass_fail(margin >= -IDENTITY_TOL),
                     residual=max(0.0, -margin),
                 )
             )
@@ -399,7 +393,7 @@ def certify_claims(cfg: RunConfig) -> list[Claim]:
                 Claim(
                     id=f"certify.{which}.n={n}.margin",
                     anchor="violation margin clears the reporting threshold",
-                    status=_pass_fail(v.margin is not None and v.margin >= 1e-6),
+                    status=_pass_fail(v.margin is not None and v.margin >= MARGIN),
                     residual=v.margin,
                 )
             )
@@ -410,7 +404,7 @@ def certify_claims(cfg: RunConfig) -> list[Claim]:
                 Claim(
                     id=f"certify.{which}.n={n}.final-witness",
                     anchor="forced image of the corner witness has eigenvalue exactly -1",
-                    status=_pass_fail(abs(min_eig + 1.0) <= 1e-10),
+                    status=_pass_fail(abs(min_eig + 1.0) <= MEMBERSHIP_TOL),
                     residual=abs(min_eig + 1.0),
                 )
             )
@@ -466,8 +460,6 @@ def run(cfg: RunConfig) -> Report:
         ("restarts", cfg.restarts),
         ("seed", cfg.seed),
         ("target", cfg.target),
-        ("tol_identity", cfg.tol_identity),
-        ("tol_psd", cfg.tol_psd),
         ("trials", cfg.trials),
     )
     return Report(config=config_echo, claims=tuple(claims), duration_seconds=duration)

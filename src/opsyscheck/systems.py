@@ -32,6 +32,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .linalg import (
+    EXACT_TOL,
+    IDENTITY_TOL,
+    MEMBERSHIP_TOL,
+    PSD_TOL,
     DimensionMismatchError,
     FieldMismatchError,
     SparseBasis,
@@ -41,8 +45,6 @@ from .linalg import (
     is_psd,
     operator_norm,
 )
-
-MEMBERSHIP_TOL = 1e-10
 
 
 class DomainViolationError(ValueError):
@@ -247,38 +249,38 @@ def embed(e: SystemElement) -> np.ndarray:
     return M
 
 
-def _is_scalar_block(X: np.ndarray, tol: float) -> bool:
+def _is_scalar_block(X: np.ndarray) -> bool:
     n = X.shape[0]
-    return bool(np.abs(X - X[0, 0] * np.eye(n)).max() <= tol)
+    return bool(np.abs(X - X[0, 0] * np.eye(n)).max() <= MEMBERSHIP_TOL)
 
 
-def contains(s: SystemId, M, tol: float = MEMBERSHIP_TOL) -> bool:
-    """Whether a matrix lies in the subspace, entrywise within ``tol``."""
+def contains(s: SystemId, M) -> bool:
+    """Whether a matrix lies in the subspace, entrywise within MEMBERSHIP_TOL."""
     A = as_square(M)
     if A.shape[0] != 2 * s.n:
         return False
     if s.field is Field.REAL and A.dtype.kind == "c":
-        if np.abs(A.imag).max() > tol:
+        if np.abs(A.imag).max() > MEMBERSHIP_TOL:
             return False
         A = A.real
     n = s.n
     for _, block, role in _LAYOUT[_ELEMENT_CLASS[s.kind]]:
         X = _block(A, n, block)
-        if role is Role.SCALAR and not _is_scalar_block(X, tol):
+        if role is Role.SCALAR and not _is_scalar_block(X):
             return False
-        if role is Role.TIED and not np.abs(_block(A, n, block[::-1]) - X.T).max() <= tol:
+        if role is Role.TIED and not np.abs(_block(A, n, block[::-1]) - X.T).max() <= MEMBERSHIP_TOL:
             return False
     return True
 
 
-def extract(s: SystemId, M, tol: float = MEMBERSHIP_TOL) -> SystemElement:
+def extract(s: SystemId, M) -> SystemElement:
     """Read an element back off its embedding.
 
     Scalars are taken from single matrix entries (never from averages), so
     embed(extract(s, embed(e))) reproduces the matrix bit for bit.
     """
-    if not contains(s, M, tol):
-        raise DomainViolationError(f"matrix is not in {s.kind.token} at tol {tol}")
+    if not contains(s, M):
+        raise DomainViolationError(f"matrix is not in {s.kind.token} at tol {MEMBERSHIP_TOL}")
     A = as_square(M)
     if s.field is Field.REAL and A.dtype.kind == "c":
         A = A.real
@@ -393,7 +395,7 @@ def _draw_positive(s: SystemId, rng: np.random.Generator) -> SystemElement:
             else:
                 b = r if rng.random() < 0.5 else -r
         e = FreeCornerElement(s, A, b, np.conj(b), d)
-    verdict = is_psd(embed(e), tol=1e-9)
+    verdict = is_psd(embed(e), tol=IDENTITY_TOL)
     if not verdict.is_psd:
         raise AssertionError(
             f"positive sampler produced min eigenvalue {verdict.min_eigenvalue:.3e}"
@@ -469,7 +471,7 @@ def _scalar_corners(
     return complex(e.a), complex(e.b), e.C, 0.0
 
 
-def is_positive_by_criterion(e: SystemElement, tol: float = 1e-7) -> bool:
+def is_positive_by_criterion(e: SystemElement, tol: float = PSD_TOL) -> bool:
     """Closed-form positivity test for every system.
 
     Scalar-diagonal and paired shapes, [[a I, K], [L, b I]]: a and b real
@@ -518,7 +520,7 @@ def boundary_margin(e: SystemElement) -> float:
     self-adjoint element is not near the self-adjointness boundary).
     """
     def herm_margin(vals):
-        live = [v for v in vals if v > 1e-12]
+        live = [v for v in vals if v > EXACT_TOL]
         return min(live) if live else math.inf
 
     if not isinstance(e, FreeCornerElement):

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import opsyscheck.cli as cli
 from opsyscheck import (
@@ -139,6 +141,40 @@ def test_report_json_round_trip():
     d = json.loads(report_to_json(r))
     assert set(d) == {"version", "config", "claims", "summary", "duration_seconds"}
     assert d["summary"]["fail"] == 0
+
+
+# finite doubles, with signed zeros, subnormals and the edges of the range
+# drawn often
+FINITE = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1.7e308, -1.7e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def claims(draw):
+    witness = None
+    if draw(st.booleans()):
+        rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        entries = draw(st.lists(st.tuples(FINITE, FINITE), min_size=rows * cols, max_size=rows * cols))
+        field = draw(st.sampled_from(["real", "complex"]))
+        witness = MatrixPayload(rows=rows, cols=cols, field=field, entries=tuple(entries))
+    return Claim(
+        id=draw(st.text(max_size=12)),
+        anchor=draw(st.text(max_size=24)),
+        status=draw(st.sampled_from(["pass", "fail", "inconclusive"])),
+        residual=draw(st.none() | FINITE),
+        witness=witness,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(claim_list=st.lists(claims(), max_size=4), duration=FINITE, seed=st.integers(0, 2**63 - 1))
+def test_report_json_round_trip_byte_identical(claim_list, duration, seed):
+    """Re-serializing a parsed report reproduces its JSON byte for byte."""
+    config = (("command", "suite"), ("n_values", [1, 2]), ("seed", seed), ("target", None))
+    text = report_to_json(Report(config=config, claims=tuple(claim_list), duration_seconds=duration))
+    assert report_to_json(report_from_json(text)) == text
 
 
 def test_report_csv_and_text():
