@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import itertools
 import math
 from typing import NamedTuple
 
@@ -215,6 +216,17 @@ _LAYOUT: dict[type, tuple[Slot, ...]] = {
     ),
 }
 
+# Runs of consecutive scalar fields and of consecutive block fields of each
+# class, in dataclass order: (is the run scalar, its field names).  Each run
+# is one generator call of ``_draw_fields``.
+_DRAW_RUNS: dict[type, tuple[tuple[bool, tuple[str, ...]], ...]] = {
+    cls: tuple(
+        (scalar, tuple(slot.name for slot in run))
+        for scalar, run in itertools.groupby(slots, lambda slot: slot.role is Role.SCALAR)
+    )
+    for cls, slots in _LAYOUT.items()
+}
+
 _ELEMENT_CLASS: dict[SystemKind, type] = {
     SystemKind.SCALAR_DIAGONAL: ScalarDiagonalElement,
     SystemKind.TRANSPOSE_PAIRED: PairedCornerElement,
@@ -225,9 +237,9 @@ _ELEMENT_CLASS: dict[SystemKind, type] = {
 
 
 def _block(M: np.ndarray, n: int, block: tuple[int, int]) -> np.ndarray:
-    """View of one n x n block of a 2n x 2n matrix."""
+    """View of one n x n block of a 2n x 2n matrix, or of each matrix of a stack."""
     r, c = block
-    return M[r * n : (r + 1) * n, c * n : (c + 1) * n]
+    return M[..., r * n : (r + 1) * n, c * n : (c + 1) * n]
 
 
 def identity_element(s: SystemId) -> SystemElement:
@@ -237,15 +249,24 @@ def identity_element(s: SystemId) -> SystemElement:
 
 def embed(e: SystemElement) -> np.ndarray:
     """The 2n x 2n matrix an element stands for."""
-    s = e.system
+    return _embed_fields(e.system, vars(e), ())
+
+
+def _embed_fields(s: SystemId, fields, lead: tuple[int, ...]) -> np.ndarray:
+    """The (*lead, 2n, 2n) stack that field values stand for: scalar fields
+    of shape ``lead`` (plain numbers when ``lead`` is empty) and block fields
+    of shape (*lead, n, n)."""
     n = s.n
-    I = np.eye(n, dtype=s.field.dtype)
-    M = np.zeros((2 * n, 2 * n), dtype=s.field.dtype)
-    for name, block, role in _LAYOUT[type(e)]:
-        value = getattr(e, name)
-        _block(M, n, block)[...] = value * I if role is Role.SCALAR else value
+    dtype = s.field.dtype
+    I = np.eye(n, dtype=dtype)
+    M = np.zeros(lead + (2 * n, 2 * n), dtype=dtype)
+    for name, block, role in _LAYOUT[_ELEMENT_CLASS[s.kind]]:
+        value = fields[name]
+        if role is Role.SCALAR:
+            value = (value[..., None, None] if lead else value) * I
+        _block(M, n, block)[...] = value
         if role is Role.TIED:
-            _block(M, n, block[::-1])[...] = value.T
+            _block(M, n, block[::-1])[...] = value.swapaxes(-1, -2)
     return M
 
 
@@ -329,26 +350,38 @@ def parameter_basis(s: SystemId) -> SparseBasis:
     return SparseBasis(dim, N, np.concatenate(par), np.concatenate(pos), np.concatenate(val))
 
 
-def _draw_element(s: SystemId, rng: np.random.Generator, scale: float) -> SystemElement:
+def _draw_fields(s: SystemId, rng: np.random.Generator, scale: float, k: int) -> dict[str, np.ndarray]:
+    """Fields of k seeded generic elements: scalars uniform in [-scale, scale]
+    (per part), blocks with i.i.d. entries of standard deviation
+    scale/sqrt(n), split across the parts when complex.
+
+    Fields are drawn in dataclass order, each for all k elements, real parts
+    before imaginary parts; a run of consecutive scalar (or block) fields
+    takes one generator call.  So k = 1 consumes the generator exactly as
+    one draw per scalar part and per block part would.
+    """
     n = s.n
-    cplx = s.field is Field.COMPLEX
+    parts = 2 if s.field is Field.COMPLEX else 1
+    fields = {}
+    for scalar, names in _DRAW_RUNS[_ELEMENT_CLASS[s.kind]]:
+        if scalar:
+            x = rng.uniform(-scale, scale, (len(names), parts, k))
+        else:
+            x = rng.normal(0.0, scale / math.sqrt(parts * n), (len(names), parts, k, n, n))
+        if parts == 2:
+            z = np.empty(x[:, 0].shape, dtype=np.complex128)
+            z.real, z.imag = x[:, 0], x[:, 1]
+            x = z
+        else:
+            x = x[:, 0]
+        fields.update(zip(names, x))
+    return fields
 
-    def scalar():
-        if cplx:
-            return complex(rng.uniform(-scale, scale), rng.uniform(-scale, scale))
-        return float(rng.uniform(-scale, scale))
 
-    def blk():
-        # entry standard deviation scale/sqrt(n), split across parts when complex
-        if cplx:
-            sd = scale / math.sqrt(2 * n)
-            return rng.normal(0.0, sd, (n, n)) + 1j * rng.normal(0.0, sd, (n, n))
-        return rng.normal(0.0, scale / math.sqrt(n), (n, n))
-
-    # fields drawn in dataclass order
-    cls = _ELEMENT_CLASS[s.kind]
-    fields = {name: scalar() if role is Role.SCALAR else blk() for name, _, role in _LAYOUT[cls]}
-    return cls(s, **fields)
+def _draw_element(s: SystemId, rng: np.random.Generator, scale: float) -> SystemElement:
+    """One seeded generic element: the k = 1 case of ``_draw_fields``."""
+    fields = _draw_fields(s, rng, scale, 1)
+    return _ELEMENT_CLASS[s.kind](s, **{name: value[0] for name, value in fields.items()})
 
 
 def random_element(s: SystemId, rng_seed: int, scale: float = 1.0) -> SystemElement:

@@ -1,6 +1,7 @@
 """Unit tests for the six block maps: action, norms, positivity, identities."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -224,18 +225,50 @@ def test_swap_bound_at_the_witness():
     root3 = math.sqrt(3.0)
     bound = offdiag_swap_norm_bound(1.0 / root3, 0.0, M[:2, 2:] / root3)
     # at the extremal element the bound is attained
+    assert isinstance(bound, float)
     assert abs(bound - 2.0 / root3) < 1e-12
     assert abs(operator_norm(N) / operator_norm(M) - 2.0 / root3) < 1e-12
+    # a stack holding the witness, i times the witness, and two smaller
+    # elements gives, row by row, the scalar call's bound
+    a = np.array([1.0 / root3, 1j / root3, 0.5, 0.1j])
+    b = np.array([0.0, 0.0, -0.25, 0.3])
+    corner = M[:2, 2:] / root3
+    C = np.stack([corner, 1j * corner, 0.2 * np.eye(2), [[0.1, 0.2j], [0.0, -0.3]]])
+    stacked = offdiag_swap_norm_bound(a, b, C)
+    assert stacked.shape == (4,)
+    for j in range(4):
+        assert stacked[j] == offdiag_swap_norm_bound(a[j], b[j], C[j])
+    assert abs(stacked[1] - 2.0 / root3) < 1e-12
 
 
 def test_swap_bound_requires_unit_ball():
     with pytest.raises(PreconditionError):
         offdiag_swap_norm_bound(2.0, 0.0, np.zeros((2, 2)))
+    # one row of a stack outside the unit ball fails the whole stack
+    a = np.array([0.5, 0.5, 2.0])
+    with pytest.raises(PreconditionError):
+        offdiag_swap_norm_bound(a, np.zeros(3), np.zeros((3, 2, 2)))
+    assert offdiag_swap_norm_bound(a[:2], np.zeros(2), np.zeros((2, 2, 2))).shape == (2,)
 
 
 def test_swap_bound_dominates_sampled_norms():
     worst = swap_bound_domination(2, samples=1500, rng_seed=0)
     assert worst >= -1e-9
+
+
+def test_swap_bound_memory_is_bounded_at_the_largest_size():
+    # at n = 64 one embedded sample holds 128^2 complex entries (256 KiB),
+    # so 48 samples drawn as one stack would hold 12 MiB in that stack alone
+    n, samples = 64, 48
+    tracemalloc.start()
+    try:
+        worst = swap_bound_domination(n, samples=samples, rng_seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert worst >= -1e-9
+    one_stack = samples * (2 * n) ** 2 * 16
+    assert peak < one_stack / 3, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_swap_bc_singular_values():

@@ -1,5 +1,8 @@
 """Unit tests for the structured subspaces and their positivity criteria."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,7 +27,15 @@ from opsyscheck import (
     random_element,
     random_positive_element,
 )
-from opsyscheck.systems import _draw_positive, _draw_psd_diagonal, _draw_psd_rank_one, _draw_psd_wishart
+from opsyscheck.systems import (
+    _draw_element,
+    _draw_fields,
+    _draw_positive,
+    _draw_psd_diagonal,
+    _draw_psd_rank_one,
+    _draw_psd_wishart,
+    _embed_fields,
+)
 
 ALL_KINDS = list(SystemKind)
 
@@ -260,3 +271,70 @@ def test_boundary_margin_behaviour():
     assert boundary_margin(near) < 1e-7
     negative = PairedCornerElement(s, -3.0, 4.0, np.zeros((2, 2)))
     assert boundary_margin(negative) >= 3.0
+
+
+def _reference_draw_element(s, rng, scale):
+    """Reference one-element draw: one generator call per scalar part and
+    per block part, fields in dataclass order."""
+    n = s.n
+    cplx = s.field is Field.COMPLEX
+
+    def scalar():
+        if cplx:
+            return complex(rng.uniform(-scale, scale), rng.uniform(-scale, scale))
+        return float(rng.uniform(-scale, scale))
+
+    def blk():
+        if cplx:
+            sd = scale / math.sqrt(2 * n)
+            return rng.normal(0.0, sd, (n, n)) + 1j * rng.normal(0.0, sd, (n, n))
+        return rng.normal(0.0, scale / math.sqrt(n), (n, n))
+
+    template = identity_element(s)
+    names = [f.name for f in dataclasses.fields(template)][1:]
+    fields = {name: blk() if np.ndim(getattr(template, name)) else scalar() for name in names}
+    return type(template)(s, **fields)
+
+
+def _bits(x) -> bytes:
+    return np.ascontiguousarray(x).tobytes()
+
+
+SCALES = st.floats(min_value=1e-3, max_value=1e3)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 17])
+@settings(max_examples=25, deadline=None)
+@given(seed=SEEDS, scale=SCALES)
+def test_single_draw_is_the_stacked_draw_at_k1(kind, n, seed, scale):
+    s = SystemId(kind, n)
+    ref_rng, rng, stack_rng = (np.random.default_rng(seed) for _ in range(3))
+    want = _reference_draw_element(s, ref_rng, scale)
+    got = _draw_element(s, rng, scale)
+    fields = _draw_fields(s, stack_rng, scale, 1)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert stack_rng.bit_generator.state == ref_rng.bit_generator.state
+    for f in dataclasses.fields(want)[1:]:
+        value = getattr(want, f.name)
+        assert type(getattr(got, f.name)) is type(value)
+        assert _bits(getattr(got, f.name)) == _bits(value)
+        assert _bits(fields[f.name][0]) == _bits(value)
+    assert _bits(_embed_fields(s, fields, (1,))[0]) == _bits(embed(want))
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("n", [1, 2, 5])
+@settings(max_examples=10, deadline=None)
+@given(seed=SEEDS, k=st.integers(min_value=2, max_value=12))
+def test_stacked_draw_rows_are_members(kind, n, seed, k):
+    s = SystemId(kind, n)
+    fields = _draw_fields(s, np.random.default_rng(seed), 1.0, k)
+    stack = _embed_fields(s, fields, (k,))
+    assert stack.shape == (k, 2 * n, 2 * n)
+    assert stack.dtype == s.field.dtype
+    cls = type(identity_element(s))
+    for j, M in enumerate(stack):
+        assert contains(s, M)
+        # each row is the embedding of the element made of that row's fields
+        assert _bits(M) == _bits(embed(cls(s, **{name: value[j] for name, value in fields.items()})))
