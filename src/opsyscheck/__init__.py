@@ -10,22 +10,18 @@ full matrix algebra can exist.
 from .linalg import (
     DimensionMismatchError,
     FieldMismatchError,
-    Isometry,
     NonFiniteError,
     NotHermitianError,
     PsdVerdict,
-    ZeroSpanError,
     block2x2,
     blocks2x2,
     char_poly_block_eval,
-    compress_to_span,
     hermitian_eigenvalues,
     hermitian_part_eigenvalues,
     hermiticity_defect,
     is_psd,
     matrix_unit,
     operator_norm,
-    orthonormalize,
     singular_values,
 )
 from .systems import (
@@ -43,14 +39,11 @@ from .systems import (
     extract,
     identity_element,
     is_positive_by_criterion,
-    random_element,
-    random_positive_element,
 )
 from .maps import (
     MapId,
     MapKind,
     NormEstimate,
-    NormStrategy,
     PositivityReport,
     PreconditionError,
     SchwarzReport,
@@ -71,7 +64,6 @@ from .maps import (
     swap_bound_domination,
 )
 from .certificates import (
-    ExtensionViolation,
     Outcome,
     SchurReport,
     Step,
@@ -79,7 +71,6 @@ from .certificates import (
     certify_corner_transpose,
     certify_offdiag_swap,
     certify_quarter_transpose,
-    falsify_extension,
     lower_right_forcing_check,
     schur_implication,
     squeeze_bounds,

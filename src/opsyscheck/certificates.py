@@ -12,13 +12,16 @@ witness pair together with its eigenvalue margin.
 Nothing here proves an extension exists.  Below threshold the verdict is
 Inconclusive, except in the degenerate sizes where the map is the identity
 and the identity map of the algebra is exhibited as an extension.
+
+The seeded search for a PSD input that the full block transpose, the forced
+extension candidate, sends out of the PSD cone is
+``maps.check_positivity_preserving`` on the psi-transpose map.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
-from typing import Callable
 
 import numpy as np
 
@@ -28,11 +31,9 @@ from .linalg import (
     MARGIN,
     MEMBERSHIP_TOL,
     PSD_TOL,
-    as_square,
     block2x2,
     hermitian_eigenvalues,
     hermitian_part_eigenvalues,
-    is_psd,
     matrix_unit,
 )
 from .maps import (
@@ -41,7 +42,6 @@ from .maps import (
     corner_witness,
     quarter_transpose_witness_norm,
 )
-from .systems import Field, _draw_psd_diagonal, _draw_psd_rank_one, _draw_psd_wishart
 
 
 class Outcome(enum.Enum):
@@ -448,54 +448,6 @@ def certify_corner_transpose(n: int, rng_seed: int = 0) -> Verdict:
         narrative=steps,
         margin=-min_out,
     )
-
-
-@dataclasses.dataclass(frozen=True)
-class ExtensionViolation:
-    trial: int
-    input: np.ndarray
-    output: np.ndarray
-    min_output_eigenvalue: float
-    hermiticity_defect: float
-
-
-def falsify_extension(
-    candidate: Callable[[np.ndarray], np.ndarray],
-    n: int,
-    trials: int = 1000,
-    rng_seed: int = 0,
-    field: Field = Field.COMPLEX,
-) -> ExtensionViolation | None:
-    """Search for a PSD input whose image under the candidate is not PSD.
-
-    The candidate is called once on each probe of the full algebra.  The
-    first probe is the corner witness (n >= 2); the rest are seeded draws,
-    cycling through Wishart-type, rank-one and diagonal PSD matrices.
-    Returning None means no violation was found; that is evidence, not a
-    proof that the candidate is positive.
-    """
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    draws = (_draw_psd_wishart, _draw_psd_rank_one, _draw_psd_diagonal)
-    rng = np.random.default_rng(rng_seed)
-    for t in range(trials):
-        if t == 0 and n >= 2:
-            S = corner_witness(n)
-            if field is Field.REAL:
-                S = S.real
-        else:
-            S = draws[t % 3](n, field, rng)
-        out = as_square(candidate(S))
-        verdict = is_psd(out, PSD_TOL)
-        if not verdict.is_psd:
-            return ExtensionViolation(
-                trial=t,
-                input=S,
-                output=out,
-                min_output_eigenvalue=verdict.min_eigenvalue,
-                hermiticity_defect=verdict.hermiticity_defect,
-            )
-    return None
 
 
 def verify_verdict_invariants(v: Verdict) -> list[str]:

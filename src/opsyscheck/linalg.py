@@ -3,9 +3,8 @@
 Everything downstream works with square complex or real matrices split into
 four n x n blocks.  This module owns the low-level conventions: the
 tolerance table every module decides with, eigenvalue and singular-value
-computations, the PSD decision rule, block assembly and extraction, the
-reduced characteristic polynomial for scalar-cornered block matrices, and
-compression onto the span of a few vectors.
+computations, the PSD decision rule, block assembly and extraction, and
+the reduced characteristic polynomial for scalar-cornered block matrices.
 """
 
 from __future__ import annotations
@@ -39,10 +38,6 @@ class NotHermitianError(ValueError):
 
 class FieldMismatchError(ValueError):
     """Real and complex data were mixed where a single scalar field is required."""
-
-
-class ZeroSpanError(ValueError):
-    """All spanning vectors were (numerically) zero."""
 
 
 class NonFiniteError(ValueError):
@@ -261,98 +256,3 @@ def char_poly_block_eval(A, b, c, d, lam) -> complex:
         + scalar * np.eye(n, dtype=np.complex128)
     )
     return complex(np.linalg.det(F))
-
-
-@dataclasses.dataclass(frozen=True)
-class Isometry:
-    """Columns form an orthonormal family: V*V = I within EXACT_TOL."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        V = np.asarray(self.matrix)
-        if V.ndim != 2 or V.shape[1] == 0 or V.shape[1] > V.shape[0]:
-            raise DimensionMismatchError(f"isometry must be tall, got shape {V.shape}")
-        gram = V.conj().T @ V
-        if np.abs(gram - np.eye(V.shape[1])).max() > EXACT_TOL:
-            raise ValueError(f"columns are not orthonormal to {EXACT_TOL:g}")
-        object.__setattr__(self, "matrix", V)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def rank(self) -> int:
-        return self.matrix.shape[1]
-
-    @property
-    def projection(self) -> np.ndarray:
-        """Orthogonal projector conj(V) V^t onto the conjugated column span.
-
-        This is the projector of the compression legs: the compression below
-        is U* M U with U = diag(conj(V), conj(V)).
-        """
-        V = self.matrix
-        return V.conj() @ V.T
-
-
-def orthonormalize(vectors) -> np.ndarray:
-    """Modified Gram-Schmidt with re-orthogonalization.
-
-    Columns whose residual after projection is at most MEMBERSHIP_TOL are
-    dropped.  Returns an n x k matrix; raises ZeroSpanError when k = 0.
-    """
-    cols: list[np.ndarray] = []
-    length = None
-    for v in vectors:
-        w = np.asarray(v, dtype=np.complex128).ravel().copy()
-        if length is None:
-            length = w.shape[0]
-        elif w.shape[0] != length:
-            raise DimensionMismatchError("spanning vectors have unequal lengths")
-        # second pass guards against loss of orthogonality in near-dependent input
-        for _ in range(2):
-            for q in cols:
-                w = w - q * (q.conj() @ w)
-        norm = float(np.linalg.norm(w))
-        if norm > MEMBERSHIP_TOL:
-            cols.append(w / norm)
-    if not cols:
-        raise ZeroSpanError("all spanning vectors are numerically zero")
-    return np.array(cols).T
-
-
-def compress_to_span(M, x1, x2, y1, y2) -> tuple[np.ndarray, Isometry]:
-    """Compress a scalar-diagonal block matrix onto the span of four vectors.
-
-    ``M`` must be [[a I, B], [C, d I]] of order 2n; the xs and ys are vectors
-    in C^n.  An orthonormal basis V (n x k) of their span is extracted and the
-    compression R' = U* M U with U = diag(conj(V), conj(V)) is returned; its
-    blocks are (a I_k, V^t B conj(V), V^t C conj(V), d I_k).  The operator
-    norm never increases under this compression.
-    """
-    A, B, C, D = blocks2x2(M)
-    n = A.shape[0]
-    for name, blk in (("upper-left", A), ("lower-right", D)):
-        if np.abs(blk - blk[0, 0] * np.eye(n)).max() > IDENTITY_TOL:
-            raise ValueError(f"{name} block is not a scalar multiple of the identity")
-    vs = []
-    for name, v in (("x1", x1), ("x2", x2), ("y1", y1), ("y2", y2)):
-        w = np.asarray(v).ravel()
-        if w.shape[0] != n:
-            raise DimensionMismatchError(f"vector {name} has length {w.shape[0]}, expected {n}")
-        vs.append(w)
-    V = orthonormalize(vs)
-    iso = Isometry(V)
-    k = iso.rank
-    a = A[0, 0]
-    d = D[0, 0]
-    Ik = np.eye(k, dtype=np.complex128)
-    Rp = np.block(
-        [
-            [a * Ik, V.T @ B @ V.conj()],
-            [V.T @ C @ V.conj(), d * Ik],
-        ]
-    )
-    return Rp, iso

@@ -65,7 +65,6 @@ from .systems import (
     _embed_fields,
     contains,
     embed,
-    extract,
     parameter_basis,
 )
 
@@ -145,15 +144,13 @@ def _blockwise(kind: MapKind, M: np.ndarray) -> np.ndarray:
     return out
 
 
-def apply(m: MapId, x):
-    """Apply a map to an element of its domain or to a matrix.
+def apply(m: MapId, x) -> np.ndarray:
+    """Apply a map to a 2n x 2n matrix.
 
-    Elements come back as elements, matrices as matrices.  Matrices are
-    membership-checked against the domain first (full-algebra maps only
-    check the field), raising DomainViolationError on failure.
+    The matrix is membership-checked against the domain first (full-algebra
+    maps only check the field), raising DomainViolationError on failure.
+    Elements of a domain go through ``embed`` first.
     """
-    if isinstance(x, SystemElement):
-        return _apply_element(m, x)
     M = as_square(x)
     dom = m.domain
     if M.shape[0] != 2 * m.n:
@@ -168,16 +165,6 @@ def apply(m: MapId, x):
             raise DomainViolationError("real-algebra map applied to a complex matrix")
         M = M.real
     return _blockwise(m.kind, M)
-
-
-def _apply_element(m: MapId, e: SystemElement) -> SystemElement:
-    dom = m.domain
-    if dom is None or e.system != dom:
-        raise DomainViolationError(
-            f"element of {e.system.kind.token} (n={e.system.n}) is not in the domain"
-            f" of {m.kind.token} at n={m.n}"
-        )
-    return extract(dom, _blockwise(m.kind, embed(e)))
 
 
 def _random_domain_matrix(m: MapId, rng: np.random.Generator) -> np.ndarray:
@@ -332,28 +319,12 @@ def check_positivity_preserving(m: MapId, trials: int = 1000, rng_seed: int = 0)
     )
 
 
-class NormStrategy(enum.Enum):
-    SAMPLING = "sampling"
-    CLOSED_FORM = "closed-form"
-    WITNESS_ONLY = "witness-only"
-
-
 @dataclasses.dataclass(frozen=True)
 class NormEstimate:
     """Certified-from-below norm estimate with a unit-norm witness."""
 
     lower_bound: float
-    upper_bound: float | None
     witness: np.ndarray
-    strategy: NormStrategy
-
-
-_CLOSED_FORM_UPPER = {
-    MapKind.QUARTER_TRANSPOSE: 1.0,
-    MapKind.OFFDIAG_SWAP: 1.0,
-    MapKind.OFFDIAG_SWAP_COMPLEX: 2.0 / math.sqrt(3.0),
-    MapKind.CORNER_TRANSPOSE: 1.0,
-}
 
 
 def _parameter_basis(m: MapId) -> SparseBasis:
@@ -494,10 +465,7 @@ def estimate_map_norm(
 
     W = basis.matrix(best_x[int(np.argmax(best))])
     W = W / operator_norm(W)
-    lower = operator_norm(_blockwise(m.kind, W))
-    upper = _CLOSED_FORM_UPPER.get(m.kind)
-    strategy = NormStrategy.CLOSED_FORM if upper is not None else NormStrategy.WITNESS_ONLY
-    return NormEstimate(lower_bound=lower, upper_bound=upper, witness=W, strategy=strategy)
+    return NormEstimate(lower_bound=operator_norm(_blockwise(m.kind, W)), witness=W)
 
 
 def offdiag_swap_norm_bound(a, b, C) -> float | np.ndarray:

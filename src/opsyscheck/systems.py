@@ -19,7 +19,7 @@ matching eigenvalue oracle.
 Every seeded draw of an element or of a 2n x 2n matrix lives here, one
 sampler per distribution: generic, positive and self-adjoint elements, the
 free-corner entry tuple of the scalar-swap checks, and the Gaussian,
-rank-one, Wishart and diagonal matrices of the full algebra.
+rank-one and Wishart matrices of the full algebra.
 """
 
 from __future__ import annotations
@@ -384,13 +384,8 @@ def _draw_element(s: SystemId, rng: np.random.Generator, scale: float) -> System
     return _ELEMENT_CLASS[s.kind](s, **{name: value[0] for name, value in fields.items()})
 
 
-def random_element(s: SystemId, rng_seed: int, scale: float = 1.0) -> SystemElement:
-    """Seeded generic element: scalars uniform in [-scale, scale] (per part),
-    blocks with i.i.d. entries of standard deviation scale/sqrt(n)."""
-    return _draw_element(s, np.random.default_rng(rng_seed), scale)
-
-
 def _draw_positive(s: SystemId, rng: np.random.Generator) -> SystemElement:
+    """One seeded PSD element, verified before return."""
     n = s.n
     if s.kind not in CORNER_KINDS:
         # [[a I, K], [K*, b I]] with ||K|| <= sqrt(ab); a tenth of draws pin
@@ -436,11 +431,6 @@ def _draw_positive(s: SystemId, rng: np.random.Generator) -> SystemElement:
     return e
 
 
-def random_positive_element(s: SystemId, rng_seed: int) -> SystemElement:
-    """Seeded PSD element, verified before return."""
-    return _draw_positive(s, np.random.default_rng(rng_seed))
-
-
 def _draw_selfadjoint(s: SystemId, rng: np.random.Generator) -> SystemElement:
     """Self-adjoint element of the scalar-diagonal or the free-corner system:
     a Gaussian corner B with B* below it and uniform real scalars, or a
@@ -484,11 +474,6 @@ def _draw_psd_wishart(n: int, field: Field, rng: np.random.Generator) -> np.ndar
     """G G* for G drawn by ``_draw_full``."""
     G = _draw_full(n, field, rng)
     return G @ G.conj().T
-
-
-def _draw_psd_diagonal(n: int, field: Field, rng: np.random.Generator) -> np.ndarray:
-    """Diagonal 2n x 2n matrix with entries uniform in [0, 1]."""
-    return np.diag(rng.uniform(0.0, 1.0, 2 * n)).astype(field.dtype)
 
 
 def _scalar_corners(

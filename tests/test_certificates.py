@@ -6,9 +6,6 @@ import numpy as np
 import pytest
 
 from opsyscheck import (
-    Field,
-    MapId,
-    MapKind,
     Outcome,
     Step,
     Verdict,
@@ -16,8 +13,6 @@ from opsyscheck import (
     certify_corner_transpose,
     certify_offdiag_swap,
     certify_quarter_transpose,
-    corner_witness,
-    falsify_extension,
     hermitian_eigenvalues,
     lower_right_forcing_check,
     schur_implication,
@@ -136,43 +131,6 @@ def test_squeeze_bounds_degenerate_projector():
 def test_lower_right_forcing_check():
     for n in (2, 4):
         assert lower_right_forcing_check(n, trials=25, rng_seed=0) <= 1e-9
-
-
-def test_falsify_extension_finds_transpose_violation():
-    viol = falsify_extension(block_transpose, n=2, trials=10, rng_seed=0)
-    assert viol is not None
-    assert viol.trial == 0
-    assert abs(viol.min_output_eigenvalue + 1.0) < 1e-10
-    assert np.array_equal(viol.input, corner_witness(2))
-
-
-def test_falsify_extension_accepts_identity():
-    assert falsify_extension(lambda M: M, n=2, trials=60, rng_seed=0) is None
-    assert falsify_extension(lambda M: M, n=2, trials=60, rng_seed=0, field=Field.REAL) is None
-
-
-def test_falsify_extension_flags_non_hermitian_output():
-    shift = np.zeros((4, 4))
-    shift[0, 1] = 1.0
-    viol = falsify_extension(lambda M: M + np.trace(M) * shift, n=2, trials=10, rng_seed=0)
-    assert viol is not None
-    assert viol.hermiticity_defect > 1e-7
-
-
-def test_falsify_extension_calls_candidate_once_per_probe():
-    calls = []
-
-    def identity(M):
-        calls.append(M.shape)
-        return M
-
-    assert falsify_extension(identity, n=16, trials=3, rng_seed=0) is None
-    assert calls == [(32, 32)] * 3
-
-
-def test_falsify_extension_rejects_bad_n():
-    with pytest.raises(ValueError):
-        falsify_extension(lambda M: M, n=0)
 
 
 def test_verdict_invariants_flag_tampering():

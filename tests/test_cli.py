@@ -263,3 +263,13 @@ def test_suite_command_small():
     assert not r.failed
     prefixes = {c.id.split(".")[0] for c in r.claims}
     assert {"lemma", "maps", "swapbc", "ks", "norm", "certify"} <= prefixes
+
+
+@pytest.mark.parametrize("token", ["phi", "upsilon", "upsilon-prime", "gamma"])
+def test_norm_claim_ids_are_pinned(token):
+    r = run(RunConfig(command="norm", target=token, n_values=(1, 2), restarts=3, trials=20, seed=0))
+    parts = ["lower-bound", "witness-unit", "image-norm", "upper-bound-respected"]
+    if token == "upsilon-prime":
+        parts.append("bound-dominates")
+    assert [c.id for c in r.claims] == [f"norm.{token}.n={n}.{part}" for n in (1, 2) for part in parts]
+    assert all(c.status == "pass" for c in r.claims), [c.id for c in r.claims if c.status != "pass"]

@@ -6,20 +6,16 @@ import pytest
 from opsyscheck import (
     DimensionMismatchError,
     FieldMismatchError,
-    Isometry,
     NonFiniteError,
     NotHermitianError,
-    ZeroSpanError,
     block2x2,
     blocks2x2,
     char_poly_block_eval,
-    compress_to_span,
     hermitian_eigenvalues,
     hermiticity_defect,
     is_psd,
     matrix_unit,
     operator_norm,
-    orthonormalize,
     singular_values,
 )
 
@@ -158,73 +154,3 @@ def test_char_poly_symmetric_in_bc():
 def test_char_poly_zero_matrix():
     # M = 0 gives det(-lam I) = lam^(2n); at lam = 1 that is 1
     assert abs(char_poly_block_eval(np.zeros((2, 2)), 0, 0, 0, 1.0) - 1.0) < 1e-14
-
-
-def test_orthonormalize_basic():
-    rng = np.random.default_rng(4)
-    vs = [rng.normal(size=5) + 1j * rng.normal(size=5) for _ in range(3)]
-    V = orthonormalize(vs)
-    assert V.shape == (5, 3)
-    assert np.abs(V.conj().T @ V - np.eye(3)).max() < 1e-12
-
-
-def test_orthonormalize_drops_dependent():
-    v = np.array([1.0, 0.0, 0.0])
-    w = np.array([0.0, 1.0, 0.0])
-    V = orthonormalize([v, w, v + w, 2.0 * v])
-    assert V.shape == (3, 2)
-
-
-def test_orthonormalize_zero_span():
-    with pytest.raises(ZeroSpanError):
-        orthonormalize([np.zeros(4), 1e-14 * np.ones(4)])
-
-
-def test_isometry_validation_and_projection():
-    V = orthonormalize([np.array([1.0, 1.0, 0.0]), np.array([0.0, 1.0, 1.0])])
-    iso = Isometry(V)
-    assert iso.dim == 3 and iso.rank == 2
-    P = iso.projection
-    assert np.abs(P - P.conj().T).max() < 1e-12
-    assert np.abs(P @ P - P).max() < 1e-12
-    with pytest.raises(ValueError):
-        Isometry(np.array([[1.0], [1.0]]))  # columns not unit length
-
-
-def test_compress_to_span_structure_and_norm():
-    """Compression keeps the scalar-diagonal shape and never grows the norm."""
-    rng = np.random.default_rng(5)
-    n = 6
-    for trial in range(10):
-        a, d = rng.normal(), rng.normal()
-        B = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        C = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        M = np.block([[a * np.eye(n), B], [C, d * np.eye(n)]])
-        xs = [rng.normal(size=n) + 1j * rng.normal(size=n) for _ in range(4)]
-        Rp, iso = compress_to_span(M, *xs)
-        k = iso.rank
-        assert Rp.shape == (2 * k, 2 * k)
-        assert operator_norm(Rp) <= operator_norm(M) + 1e-10
-        # diagonal blocks stay scalar with the same scalars
-        assert np.abs(Rp[:k, :k] - a * np.eye(k)).max() < 1e-9
-        assert np.abs(Rp[k:, k:] - d * np.eye(k)).max() < 1e-9
-
-
-def test_compress_to_span_checks_diagonal():
-    n = 3
-    M = np.block([[np.diag([1.0, 2.0, 3.0]), np.zeros((n, n))], [np.zeros((n, n)), np.eye(n)]])
-    xs = [np.eye(n)[:, 0]] * 4
-    with pytest.raises(ValueError):
-        compress_to_span(M, *xs)
-
-
-def test_compress_to_span_small_span():
-    # all four vectors parallel: compression is 2 x 2
-    n = 4
-    M = np.block([[2.0 * np.eye(n), np.ones((n, n))], [np.ones((n, n)), -1.0 * np.eye(n)]])
-    v = np.ones(n)
-    Rp, iso = compress_to_span(M, v, 2 * v, -v, 0.5 * v)
-    assert iso.rank == 1
-    assert Rp.shape == (2, 2)
-    assert abs(Rp[0, 0] - 2.0) < 1e-12
-    assert abs(Rp[1, 1] + 1.0) < 1e-12

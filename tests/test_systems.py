@@ -24,14 +24,11 @@ from opsyscheck import (
     identity_element,
     is_positive_by_criterion,
     is_psd,
-    random_element,
-    random_positive_element,
 )
 from opsyscheck.systems import (
     _draw_element,
     _draw_fields,
     _draw_positive,
-    _draw_psd_diagonal,
     _draw_psd_rank_one,
     _draw_psd_wishart,
     _embed_fields,
@@ -105,7 +102,7 @@ def test_embed_extract_round_trip(kind, n):
     """extract(embed(e)) reproduces every stored part bitwise."""
     s = SystemId(kind, n)
     for seed in range(12):
-        e = random_element(s, rng_seed=seed)
+        e = _draw_element(s, np.random.default_rng(seed), 1.0)
         M = embed(e)
         assert contains(s, M)
         e2 = extract(s, M)
@@ -120,13 +117,13 @@ def test_embed_extract_round_trip(kind, n):
 def test_contains_rejects_off_pattern():
     n = 2
     s = SystemId(SystemKind.SCALAR_DIAGONAL, n)
-    M = embed(random_element(s, rng_seed=0))
+    M = embed(_draw_element(s, np.random.default_rng(0), 1.0))
     bad = M.copy()
     bad[0, 0] += 1e-6  # breaks the scalar diagonal
     assert not contains(s, bad)
 
     sp = SystemId(SystemKind.TRANSPOSE_PAIRED, n)
-    P = embed(random_element(sp, rng_seed=1))
+    P = embed(_draw_element(sp, np.random.default_rng(1), 1.0))
     bad = P.copy()
     bad[n, 1] += 1e-6  # breaks the transpose pairing
     assert not contains(sp, bad)
@@ -146,11 +143,11 @@ def test_extract_raises_outside():
 
 def test_random_element_deterministic():
     s = SystemId(SystemKind.FREE_CORNER, 3)
-    e1 = random_element(s, rng_seed=42)
-    e2 = random_element(s, rng_seed=42)
+    e1 = _draw_element(s, np.random.default_rng(42), 1.0)
+    e2 = _draw_element(s, np.random.default_rng(42), 1.0)
     assert np.array_equal(e1.A, e2.A)
     assert e1.b == e2.b and e1.c == e2.c and e1.d == e2.d
-    e3 = random_element(s, rng_seed=43)
+    e3 = _draw_element(s, np.random.default_rng(43), 1.0)
     assert not np.array_equal(e1.A, e3.A)
 
 
@@ -158,7 +155,7 @@ def test_random_element_deterministic():
 def test_random_positive_is_psd(kind):
     s = SystemId(kind, 3)
     for seed in range(30):
-        e = random_positive_element(s, rng_seed=seed)
+        e = _draw_positive(s, np.random.default_rng(seed))
         M = embed(e)
         assert is_psd(M, tol=1e-8).is_psd
         assert is_positive_by_criterion(e)
@@ -196,7 +193,8 @@ def test_criterion_matches_eigenvalue_oracle(kind, n):
     s = SystemId(kind, n)
     checked = 0
     for seed in range(300):
-        e = random_element(s, rng_seed=seed) if seed % 2 else random_positive_element(s, rng_seed=seed)
+        rng = np.random.default_rng(seed)
+        e = _draw_element(s, rng, 1.0) if seed % 2 else _draw_positive(s, rng)
         if boundary_margin(e) <= 1e-6:
             continue
         checked += 1
@@ -227,7 +225,7 @@ def test_positive_draws_pass_criterion(kind, n, seed):
 @given(seed=SEEDS)
 def test_full_algebra_psd_draws(field, n, seed):
     rng = np.random.default_rng(seed)
-    for draw in (_draw_psd_rank_one, _draw_psd_wishart, _draw_psd_diagonal):
+    for draw in (_draw_psd_rank_one, _draw_psd_wishart):
         P = draw(n, field, rng)
         assert P.shape == (2 * n, 2 * n)
         assert P.dtype == field.dtype
