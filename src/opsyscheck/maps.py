@@ -39,6 +39,7 @@ from .linalg import (
     PSD_TOL,
     DimensionMismatchError,
     SparseBasis,
+    _require_finite,
     as_square,
     blocks2x2,
     char_poly_block_eval,
@@ -59,7 +60,7 @@ from .systems import (
     _draw_element,
     _draw_fields,
     _draw_full,
-    _draw_positive,
+    _draw_positive_embedded,
     _draw_psd_rank_one,
     _draw_psd_wishart,
     _embed_fields,
@@ -256,7 +257,7 @@ def corner_witness(n: int) -> np.ndarray:
 
 def _positive_sample(m: MapId, rng: np.random.Generator, trial: int) -> np.ndarray:
     if m.domain is not None:
-        return embed(_draw_positive(m.domain, rng))
+        return _draw_positive_embedded(m.domain, rng)[1]
     if m.kind is MapKind.BLOCK_TRANSPOSE and trial == 0 and m.n >= 2:
         return corner_witness(m.n)
     draw = _draw_psd_rank_one if trial % 2 == 0 else _draw_psd_wishart
@@ -361,23 +362,37 @@ def _schatten(Y: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
     As p grows the weights concentrate on the top pair, whose term is the
     derivative d sigma_1(Y) = Re u_1* dY v_1 (Lewis, Math. Oper. Res. 1996;
     Overton, SIAM J. Matrix Anal. Appl. 1988).
+
+    Everything comes from one Hermitian eigensolve of the Gram matrix
+    Y* Y = V diag(lambda) V*, with lambda_i = sigma_i^2 clamped at 0 against
+    roundoff.  No left singular vector is needed: u_i sigma_i = Y v_i, so
+    G = conj(Y V diag(w) V*) with w_i = c_i / sigma_i
+    = (lambda_i / lambda_1)^(p/2 - 1) / (lambda_1 z), where
+    z = sum_i (lambda_i / lambda_1)^(p/2) and ||Y||_p^p = sigma_1^p z.
     """
-    U, s, Vh = np.linalg.svd(Y)
-    s1 = s[:, 0]
-    r = s / s1[:, None]
-    q = r ** (p[:, None] - 1.0)
+    lam, V = np.linalg.eigh(Y.conj().swapaxes(-1, -2) @ Y)
+    lam = np.maximum(lam, 0.0)
+    lam1 = lam[:, -1]
+    r = lam / lam1[:, None]
+    q = r ** (p[:, None] / 2.0 - 1.0)
     z = np.sum(q * r, axis=1)
-    c = q / (s1 * z)[:, None]
-    return s1, np.log(s1) + np.log(z) / p, (np.conj(U) * c[:, None, :]) @ np.conj(Vh)
+    w = q / (lam1 * z)[:, None]
+    s1 = np.sqrt(lam1)
+    G = np.conj(Y @ ((V * w[:, None, :]) @ V.conj().swapaxes(-1, -2)))
+    return s1, np.log(s1) + np.log(z) / p, G
 
 
 # Schatten exponents of the ascent: stage k uses p = _P_BASE^(k+1)
 _P_BASE = 16.0
 _P_STAGES = 5
-# a stage ends after this many steps, or once the step length drops below
-# _STAGE_END_STEP; every stage starts at step length _FIRST_STEP
+# a stage ends after this many steps, once the step length drops below
+# _STAGE_END_STEP, or once the sphere-projected gradient is at most
+# _STATIONARY, below which the first-order gain of any step is under double
+# precision's resolution of the objective; every stage starts at step length
+# _FIRST_STEP
 _STAGE_STEPS = 30
 _STAGE_END_STEP = 1e-6
+_STATIONARY = math.sqrt(np.finfo(float).eps)
 _FIRST_STEP = 0.5
 
 
@@ -393,16 +408,21 @@ def estimate_map_norm(
     gradient ascent zigzags on and stalls short of.  The ascent therefore
     climbs log ||map(X)||_p - log ||X||_p with Schatten exponents p = 16,
     16^2, ..., 16^5, which tend to the operator norm as p grows.  Its
-    gradient comes from the singular triples of X and map(X), pulled back
-    through the map and the basis B_i (see ``_schatten``).
+    gradient comes from one Hermitian eigensolve of the Gram matrices of X
+    and of map(X), pulled back through the map and the basis B_i (see
+    ``_schatten``).
 
     All starts ascend together as one stack, each on the unit sphere of
     parameters: a step moves along the gradient projected onto the sphere
     and renormalizes.  Each start keeps its own step length, doubled after
     a step that raised the objective and cut by four after one that did not
     (the start then stays where it was).  A start moves to the next exponent
-    after 30 steps or once its step length falls below 1e-6, and stops after
-    the last.  ``maxiter`` caps the number of steps.
+    after 30 steps, once its step length falls below 1e-6, or, checked
+    before each step, once its projected gradient has norm at most
+    sqrt(machine epsilon): no step could then raise the objective by more
+    than double precision resolves, so a flat stage (an isometry, a
+    plateau) costs no evaluation beyond the one that entered it.  A start
+    stops after the last exponent.  ``maxiter`` caps the number of rounds.
 
     Every evaluated ratio sigma_1(map(X)) / sigma_1(X) is tracked, so the
     returned lower bound is the best value seen anywhere, renormalized
@@ -441,20 +461,25 @@ def estimate_map_norm(
         live = np.flatnonzero(step > 0.0)
         if live.size == 0:
             break
-        y = x[live] + step[live, None] * g[live]
-        y /= np.linalg.norm(y, axis=1, keepdims=True)
-        ratio_y, f_y, g_y = ascent(y, stage[live])
-        better = ratio_y > best[live]
-        best[live[better]] = ratio_y[better]
-        best_x[live[better]] = y[better]
-        up = f_y > f[live]
-        moved = live[up]
-        x[moved], f[moved], g[moved] = y[up], f_y[up], g_y[up]
-        step[moved] *= 2.0
-        step[live[~up]] *= 0.25
-        taken[live] += 1
+        # a stationary start ends its stage before stepping, at no evaluation
+        flat = np.linalg.norm(g[live], axis=1) <= _STATIONARY
+        done, live = live[flat], live[~flat]
+        if live.size:
+            y = x[live] + step[live, None] * g[live]
+            y /= np.linalg.norm(y, axis=1, keepdims=True)
+            ratio_y, f_y, g_y = ascent(y, stage[live])
+            better = ratio_y > best[live]
+            best[live[better]] = ratio_y[better]
+            best_x[live[better]] = y[better]
+            up = f_y > f[live]
+            moved = live[up]
+            x[moved], f[moved], g[moved] = y[up], f_y[up], g_y[up]
+            step[moved] *= 2.0
+            step[live[~up]] *= 0.25
+            taken[live] += 1
+            ended = (taken[live] >= _STAGE_STEPS) | (step[live] < _STAGE_END_STEP)
+            done = np.union1d(done, live[ended])
 
-        done = live[(taken[live] >= _STAGE_STEPS) | (step[live] < _STAGE_END_STEP)]
         step[done[stage[done] == _P_STAGES - 1]] = 0.0
         done = done[stage[done] < _P_STAGES - 1]
         if done.size:
@@ -477,13 +502,16 @@ def offdiag_swap_norm_bound(a, b, C) -> float | np.ndarray:
     covers the element with the two scalars traded.  a, b and C may carry
     leading stack axes (C of shape (..., n, n)); the bound then comes back
     as an array over them, and PreconditionError is raised if any element
-    leaves the unit ball.  Single elements give a float.
+    leaves the unit ball.  Single elements give a float.  NaN or infinite
+    entries in a, b or C raise NonFiniteError.
     """
     C = np.asarray(C, dtype=np.complex128)
     if C.ndim < 2 or C.shape[-1] != C.shape[-2] or C.shape[-1] == 0:
         raise DimensionMismatchError(f"C must be square, got shape {C.shape}")
     a = np.asarray(a, dtype=np.complex128)
     b = np.asarray(b, dtype=np.complex128)
+    for value in (a, b, C):
+        _require_finite(value)
     lead = np.broadcast_shapes(a.shape, b.shape, C.shape[:-2])
     s = SystemId(SystemKind.TRANSPOSE_PAIRED_COMPLEX, C.shape[-1])
     nM = _spectral_norms(_embed_fields(s, {"a": a, "b": b, "C": C}, lead))
@@ -495,8 +523,11 @@ def offdiag_swap_norm_bound(a, b, C) -> float | np.ndarray:
 
 
 def _spectral_norms(M: np.ndarray) -> np.ndarray:
-    """Spectral norm of each matrix of a stack, through one batched SVD."""
-    return np.linalg.svd(M, compute_uv=False)[..., 0]
+    """Spectral norm of each matrix of a stack: the square root of the top
+    eigenvalue of the Gram matrix M* M, through one batched Hermitian
+    eigensolve.  The top eigenvalue of a Gram matrix carries relative error
+    of order machine epsilon, like the top singular value."""
+    return np.sqrt(np.linalg.eigvalsh(M.conj().swapaxes(-1, -2) @ M)[..., -1])
 
 
 # matrix entries per stack that swap_bound_domination draws at once: 512 KiB

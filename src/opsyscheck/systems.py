@@ -386,6 +386,12 @@ def _draw_element(s: SystemId, rng: np.random.Generator, scale: float) -> System
 
 def _draw_positive(s: SystemId, rng: np.random.Generator) -> SystemElement:
     """One seeded PSD element, verified before return."""
+    return _draw_positive_embedded(s, rng)[0]
+
+
+def _draw_positive_embedded(s: SystemId, rng: np.random.Generator) -> tuple[SystemElement, np.ndarray]:
+    """One seeded PSD element and the matrix it embeds to, verified on that
+    matrix before return."""
     n = s.n
     if s.kind not in CORNER_KINDS:
         # [[a I, K], [K*, b I]] with ||K|| <= sqrt(ab); a tenth of draws pin
@@ -423,12 +429,13 @@ def _draw_positive(s: SystemId, rng: np.random.Generator) -> SystemElement:
             else:
                 b = r if rng.random() < 0.5 else -r
         e = FreeCornerElement(s, A, b, np.conj(b), d)
-    verdict = is_psd(embed(e), tol=IDENTITY_TOL)
+    M = embed(e)
+    verdict = is_psd(M, tol=IDENTITY_TOL)
     if not verdict.is_psd:
         raise AssertionError(
             f"positive sampler produced min eigenvalue {verdict.min_eigenvalue:.3e}"
         )
-    return e
+    return e, M
 
 
 def _draw_selfadjoint(s: SystemId, rng: np.random.Generator) -> SystemElement:

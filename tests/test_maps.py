@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from opsyscheck import (
     DomainViolationError,
     MapId,
     MapKind,
+    NonFiniteError,
     PreconditionError,
     ScalarDiagonalElement,
     SystemId,
@@ -32,6 +34,8 @@ from opsyscheck import (
     swap_bc_singular_check,
     swap_bound_domination,
 )
+from opsyscheck import maps
+from opsyscheck.maps import _P_STAGES, _schatten, _spectral_norms
 from opsyscheck.systems import _draw_element, _draw_positive
 
 ALL_MAPS = list(MapKind)
@@ -202,6 +206,81 @@ def test_block_transpose_norm_reaches_two():
     assert est.lower_bound >= 2.0 - 1e-9
 
 
+def _stack(rng, k, size, cplx):
+    Y = rng.normal(size=(k, size, size))
+    return Y + 1j * rng.normal(size=(k, size, size)) if cplx else Y
+
+
+@pytest.mark.parametrize("cplx", [False, True])
+def test_spectral_norms_match_singular_values(cplx):
+    rng = np.random.default_rng(11)
+    M = _stack(rng, 6, 5, cplx)
+    M[2] = 0.0
+    M[4] *= 1e-6
+    want = np.linalg.svd(M, compute_uv=False)[..., 0]
+    got = _spectral_norms(M)
+    assert got.shape == (6,) and got[2] == 0.0
+    assert np.all(np.abs(got - want) <= 1e-12 * want)
+
+
+def _schatten_by_svd(Y, p):
+    # the full-SVD form of _schatten's sigma_1, objective and gradient
+    U, s, Vh = np.linalg.svd(Y)
+    s1 = s[:, 0]
+    r = s / s1[:, None]
+    q = r ** (p[:, None] - 1.0)
+    z = np.sum(q * r, axis=1)
+    c = q / (s1 * z)[:, None]
+    return s1, np.log(s1) + np.log(z) / p, (np.conj(U) * c[:, None, :]) @ np.conj(Vh)
+
+
+@pytest.mark.parametrize("p", [16.0, 16.0**5])
+@pytest.mark.parametrize("cplx", [False, True])
+def test_schatten_matches_the_svd_formula(p, cplx):
+    rng = np.random.default_rng(5)
+    Y = _stack(rng, 5, 4, cplx)
+    if cplx:
+        # singular values sqrt(3), sqrt(3), 0, 0: a double top value, and
+        # zeros that the Gram eigenvalues may round below 0
+        M, _ = complex_swap_witness()
+        Y = np.concatenate([Y, M[None], 0.3j * M[None]])
+    ps = np.full(len(Y), p)
+    s1, f, G = _schatten(Y, ps)
+    s1_ref, f_ref, G_ref = _schatten_by_svd(Y, ps)
+    assert np.all(np.isfinite(G))
+    assert np.abs(s1 - s1_ref).max() <= 1e-12 * s1_ref.max()
+    assert np.abs(f - f_ref).max() <= 1e-12
+    # near a double top value the weights r^(p-1) turn a roundoff of eps in
+    # r into a relative change of p eps, in either formula
+    scale = np.abs(G_ref).max(axis=(1, 2))
+    rel = 1e-12 + 8.0 * p * np.finfo(float).eps
+    assert np.all(np.abs(G - G_ref).max(axis=(1, 2)) <= rel * scale)
+
+
+@pytest.mark.parametrize("kind,n", [(MapKind.OFFDIAG_SWAP, 4), (MapKind.CORNER_TRANSPOSE, 2)])
+def test_isometries_cost_one_evaluation_per_stage(kind, n, monkeypatch):
+    # both maps keep every singular value, so each Schatten stage is flat and
+    # every start ends it on the gradient it entered with
+    rows = []
+
+    def counting(Y, p):
+        rows.append(len(Y))
+        return _schatten(Y, p)
+
+    monkeypatch.setattr(maps, "_schatten", counting)
+    restarts = 10
+    est = estimate_map_norm(MapId(kind, n), restarts=restarts, rng_seed=0)
+    assert abs(est.lower_bound - 1.0) < 1e-12
+    assert sum(rows) <= 2 * restarts * _P_STAGES
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_random_starts_alone_reach_the_complex_swap_norm(n, monkeypatch):
+    monkeypatch.setattr(maps, "_structured_starts", lambda m, basis: [])
+    est = estimate_map_norm(MapId(MapKind.OFFDIAG_SWAP_COMPLEX, n), restarts=50, rng_seed=0)
+    assert abs(est.lower_bound - 2.0 / math.sqrt(3.0)) < 1e-6
+
+
 def test_swap_bound_at_the_witness():
     # the witness has scalar parts a = 1, b = 0; normalize by its norm sqrt(3)
     M, N = complex_swap_witness()
@@ -232,6 +311,18 @@ def test_swap_bound_requires_unit_ball():
     with pytest.raises(PreconditionError):
         offdiag_swap_norm_bound(a, np.zeros(3), np.zeros((3, 2, 2)))
     assert offdiag_swap_norm_bound(a[:2], np.zeros(2), np.zeros((2, 2, 2))).shape == (2,)
+
+
+def test_swap_bound_refuses_non_finite_input():
+    C = np.eye(2, dtype=np.complex128) * 0.1
+    C[0, 1] = np.nan
+    with warnings.catch_warnings():
+        # refused up front, before any arithmetic warns on the bad entries
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteError):
+            offdiag_swap_norm_bound(0.1, 0.0, C)
+        with pytest.raises(NonFiniteError):
+            offdiag_swap_norm_bound(np.array([0.1, np.inf]), 0.0, np.zeros((2, 2, 2)))
 
 
 def test_swap_bound_dominates_sampled_norms():

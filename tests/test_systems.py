@@ -29,6 +29,7 @@ from opsyscheck.systems import (
     _draw_element,
     _draw_fields,
     _draw_positive,
+    _draw_positive_embedded,
     _draw_psd_rank_one,
     _draw_psd_wishart,
     _embed_fields,
@@ -159,6 +160,21 @@ def test_random_positive_is_psd(kind):
         M = embed(e)
         assert is_psd(M, tol=1e-8).is_psd
         assert is_positive_by_criterion(e)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_positive_draw_comes_with_its_embedding(kind):
+    # the embedded draw consumes the same stream as the element draw and
+    # hands back exactly the matrix the element embeds to
+    s = SystemId(kind, 3)
+    for seed in range(5):
+        rng_e, rng_m = np.random.default_rng(seed), np.random.default_rng(seed)
+        e = _draw_positive(s, rng_e)
+        f, M = _draw_positive_embedded(s, rng_m)
+        assert type(f) is type(e) and f.system == e.system
+        assert np.array_equal(M, embed(e)) and np.array_equal(M, embed(f))
+        assert M.dtype == embed(e).dtype
+        assert rng_e.random() == rng_m.random()
 
 
 def test_scalar_diagonal_criterion():
