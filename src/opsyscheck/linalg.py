@@ -44,10 +44,38 @@ class NonFiniteError(ValueError):
     """A matrix holds NaN or infinite entries where a finite one is required."""
 
 
+# matrix entries a batched check holds per stack: 512 KiB of complex128, so
+# memory stays bounded at every n the CLI accepts
+STACK_ENTRIES = 1 << 15
+
+
+def stack_size(order: int) -> int:
+    """How many order x order matrices a stack holds: as many as fit in
+    STACK_ENTRIES entries, and at least one."""
+    return max(1, STACK_ENTRIES // (order * order))
+
+
+def stack_chunks(total: int, order: int):
+    """(start, k) of the consecutive stacks of order x order matrices that
+    cover ``total`` matrices, each of ``stack_size(order)`` but the last."""
+    chunk = stack_size(order)
+    for start in range(0, total, chunk):
+        yield start, min(chunk, total - start)
+
+
 def as_square(M, name: str = "matrix") -> np.ndarray:
     """Coerce to a 2-d square ndarray over float64 or complex128."""
+    A = as_squares(M, name)
+    if A.ndim != 2:
+        raise DimensionMismatchError(f"{name} must be square, got shape {A.shape}")
+    return A
+
+
+def as_squares(M, name: str = "matrix") -> np.ndarray:
+    """Coerce to a square matrix, or a stack of them along leading axes,
+    over float64 or complex128."""
     A = np.asarray(M)
-    if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] == 0:
+    if A.ndim < 2 or A.shape[-1] != A.shape[-2] or A.shape[-1] == 0:
         raise DimensionMismatchError(f"{name} must be square, got shape {A.shape}")
     if A.dtype.kind == "c":
         return A.astype(np.complex128, copy=False)
@@ -63,18 +91,26 @@ def _require_finite(A: np.ndarray) -> None:
         raise NonFiniteError("matrix has NaN or infinite entries")
 
 
-def hermiticity_defect(M) -> float:
-    """Largest entrywise deviation of M from its conjugate transpose.
+def _adjoint(A: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix or of each matrix of a stack."""
+    return A.conj().swapaxes(-1, -2)
+
+
+def hermiticity_defect(M) -> float | np.ndarray:
+    """Largest entrywise deviation of M from its conjugate transpose, for
+    one matrix or for each matrix of a stack.
 
     Raises NonFiniteError on NaN or infinite entries.
     """
-    A = as_square(M)
+    A = as_squares(M)
     _require_finite(A)
-    return float(np.abs(A - A.conj().T).max())
+    D = np.abs(A - _adjoint(A))
+    return float(D.max()) if D.ndim == 2 else D.max(axis=(-2, -1))
 
 
 def hermitian_part_eigenvalues(A: np.ndarray) -> np.ndarray:
-    """Eigenvalues of the Hermitian part (A + A*) / 2, ascending.
+    """Eigenvalues of the Hermitian part (A + A*) / 2, ascending, of one
+    matrix or of each matrix of a stack.
 
     Raises NonFiniteError on NaN or infinite entries.
     """
@@ -83,7 +119,7 @@ def hermitian_part_eigenvalues(A: np.ndarray) -> np.ndarray:
 
 
 def _eigvalsh_hermitian_part(A: np.ndarray) -> np.ndarray:
-    return np.linalg.eigvalsh((A + A.conj().T) / 2.0)
+    return np.linalg.eigvalsh((A + _adjoint(A)) / 2.0)
 
 
 def hermitian_eigenvalues(M) -> np.ndarray:
@@ -114,9 +150,9 @@ def operator_norm(M) -> float:
 class PsdVerdict:
     """Outcome of a PSD test on the Hermitian part of a matrix."""
 
-    is_psd: bool
-    min_eigenvalue: float
-    hermiticity_defect: float
+    is_psd: bool | np.ndarray
+    min_eigenvalue: float | np.ndarray
+    hermiticity_defect: float | np.ndarray
 
 
 def is_psd(M, tol: float = PSD_TOL) -> PsdVerdict:
@@ -127,11 +163,17 @@ def is_psd(M, tol: float = PSD_TOL) -> PsdVerdict:
     Hermitian part is at least ``-tol``.  The eigenvalue is reported either
     way so callers can see how a non-Hermitian input failed.  NaN or
     infinite entries raise NonFiniteError instead of reaching a verdict.
+
+    A stack of matrices gets one verdict per matrix: the three fields then
+    come back as arrays over the leading axes, through one batched
+    eigensolve.  A single matrix gets a bool and two floats.
     """
-    A = as_square(M)
+    A = as_squares(M)
     defect = hermiticity_defect(A)
-    min_eig = float(_eigvalsh_hermitian_part(A)[0])
-    ok = defect <= tol and min_eig >= -tol
+    min_eig = _eigvalsh_hermitian_part(A)[..., 0]
+    if A.ndim == 2:
+        min_eig = float(min_eig)
+    ok = (defect <= tol) & (min_eig >= -tol)
     return PsdVerdict(is_psd=ok, min_eigenvalue=min_eig, hermiticity_defect=defect)
 
 

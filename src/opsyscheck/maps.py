@@ -39,8 +39,10 @@ from .linalg import (
     PSD_TOL,
     DimensionMismatchError,
     SparseBasis,
+    _adjoint,
     _require_finite,
     as_square,
+    as_squares,
     blocks2x2,
     char_poly_block_eval,
     hermitian_part_eigenvalues,
@@ -48,6 +50,7 @@ from .linalg import (
     is_psd,
     matrix_unit,
     operator_norm,
+    stack_chunks,
 )
 from .systems import (
     DomainViolationError,
@@ -57,13 +60,13 @@ from .systems import (
     SystemId,
     SystemKind,
     _draw_corner_tuple,
-    _draw_element,
     _draw_fields,
     _draw_full,
-    _draw_positive_embedded,
+    _draw_positive_fields,
     _draw_psd_rank_one,
     _draw_psd_wishart,
     _embed_fields,
+    _require_contained,
     contains,
     embed,
     parameter_basis,
@@ -146,21 +149,20 @@ def _blockwise(kind: MapKind, M: np.ndarray) -> np.ndarray:
 
 
 def apply(m: MapId, x) -> np.ndarray:
-    """Apply a map to a 2n x 2n matrix.
+    """Apply a map to a 2n x 2n matrix, or to each matrix of a stack.
 
-    The matrix is membership-checked against the domain first (full-algebra
-    maps only check the field), raising DomainViolationError on failure.
-    Elements of a domain go through ``embed`` first.
+    The matrices are membership-checked against the domain first
+    (full-algebra maps only check the field), raising DomainViolationError
+    if any of them fails.  Elements of a domain go through ``embed`` first.
     """
-    M = as_square(x)
+    M = as_squares(x)
     dom = m.domain
-    if M.shape[0] != 2 * m.n:
+    if M.shape[-1] != 2 * m.n:
         raise DomainViolationError(
-            f"matrix order {M.shape[0]} does not match map order {2 * m.n}"
+            f"matrix order {M.shape[-1]} does not match map order {2 * m.n}"
         )
     if dom is not None:
-        if not contains(dom, M):
-            raise DomainViolationError(f"matrix is not in {dom.kind.token} at tol {MEMBERSHIP_TOL}")
+        _require_contained(dom, M)
     elif m.field is Field.REAL and M.dtype.kind == "c":
         if np.abs(M.imag).max() > MEMBERSHIP_TOL:
             raise DomainViolationError("real-algebra map applied to a complex matrix")
@@ -168,11 +170,17 @@ def apply(m: MapId, x) -> np.ndarray:
     return _blockwise(m.kind, M)
 
 
-def _random_domain_matrix(m: MapId, rng: np.random.Generator) -> np.ndarray:
+def _random_domain_matrices(m: MapId, rng: np.random.Generator, k: int) -> np.ndarray:
+    """A (k, 2n, 2n) stack of seeded generic matrices of the map's domain."""
     dom = m.domain
     if dom is None:
-        return _draw_full(m.n, m.field, rng)
-    return embed(_draw_element(dom, rng, 1.0))
+        return _draw_full(m.n, m.field, rng, (k,))
+    return _embed_fields(dom, _draw_fields(dom, rng, 1.0, k), (k,))
+
+
+def _deviations(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Largest entrywise deviation between each pair of matrices of two stacks."""
+    return np.abs(X - Y).max(axis=(-2, -1))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -194,6 +202,10 @@ def check_structural(m: MapId, trials: int = 25, rng_seed: int = 0) -> Structura
     Self-adjointness means apply(M*) = apply(M)* over the complex field and
     apply(M^t) = apply(M)^t over the real field.  Failures are counted and
     reported, never raised; a residual above IDENTITY_TOL is a failure.
+
+    The trials run in stacks of at most 2^15 matrix entries: each stack
+    draws its matrices M, then N, then the coefficient pairs (alpha, beta)
+    of the linearity check, and applies the map once per stack and operand.
     """
     rng = np.random.default_rng(rng_seed)
     n2 = 2 * m.n
@@ -204,29 +216,21 @@ def check_structural(m: MapId, trials: int = 25, rng_seed: int = 0) -> Structura
     sa_fail = 0
     lin_worst = 0.0
     lin_fail = 0
-    for _ in range(trials):
-        M = _random_domain_matrix(m, rng)
+    for _, k in stack_chunks(trials, n2):
+        M = _random_domain_matrices(m, rng, k)
+        N = _random_domain_matrices(m, rng, k)
         if m.field is Field.COMPLEX:
-            r = float(np.abs(apply(m, M.conj().T) - apply(m, M).conj().T).max())
+            coef = rng.normal(size=(k, 2, 2)).view(np.complex128)[..., 0]
         else:
-            r = float(np.abs(apply(m, M.T) - apply(m, M).T).max())
-        sa_worst = max(sa_worst, r)
-        if r > IDENTITY_TOL:
-            sa_fail += 1
-
-        N = _random_domain_matrix(m, rng)
-        if m.field is Field.COMPLEX:
-            alpha = complex(rng.normal(), rng.normal())
-            beta = complex(rng.normal(), rng.normal())
-        else:
-            alpha = float(rng.normal())
-            beta = float(rng.normal())
-        r = float(
-            np.abs(apply(m, alpha * M + beta * N) - (alpha * apply(m, M) + beta * apply(m, N))).max()
-        )
-        lin_worst = max(lin_worst, r)
-        if r > IDENTITY_TOL:
-            lin_fail += 1
+            coef = rng.normal(size=(k, 2))
+        alpha, beta = coef[:, 0, None, None], coef[:, 1, None, None]
+        FM, FN = apply(m, M), apply(m, N)
+        r = _deviations(apply(m, _adjoint(M)), _adjoint(FM))
+        sa_worst = max(sa_worst, float(r.max()))
+        sa_fail += int(np.count_nonzero(r > IDENTITY_TOL))
+        r = _deviations(apply(m, alpha * M + beta * N), alpha * FM + beta * FN)
+        lin_worst = max(lin_worst, float(r.max()))
+        lin_fail += int(np.count_nonzero(r > IDENTITY_TOL))
 
     passed = unital_residual <= IDENTITY_TOL and sa_fail == 0 and lin_fail == 0
     return StructuralReport(
@@ -255,13 +259,26 @@ def corner_witness(n: int) -> np.ndarray:
     return np.outer(v, v.conj())
 
 
-def _positive_sample(m: MapId, rng: np.random.Generator, trial: int) -> np.ndarray:
+def _positive_samples(m: MapId, rng: np.random.Generator, start: int, k: int) -> np.ndarray:
+    """Seeded PSD inputs of trials start, ..., start + k - 1, as a stack.
+
+    A domain map gets draws of the domain's positive sampler.  A full-algebra
+    map gets rank-one projections on even trials and Wishart matrices on odd
+    ones (all projections of the stack drawn first); trial 0 of the full
+    block transpose (n >= 2) is the corner witness instead.
+    """
     if m.domain is not None:
-        return _draw_positive_embedded(m.domain, rng)[1]
-    if m.kind is MapKind.BLOCK_TRANSPOSE and trial == 0 and m.n >= 2:
-        return corner_witness(m.n)
-    draw = _draw_psd_rank_one if trial % 2 == 0 else _draw_psd_wishart
-    return draw(m.n, m.field, rng)
+        return _draw_positive_fields(m.domain, rng, k)[1]
+    n = m.n
+    S = np.empty((k, 2 * n, 2 * n), dtype=m.field.dtype)
+    wishart = np.arange(start, start + k) % 2 == 1
+    rank_one = ~wishart
+    if m.kind is MapKind.BLOCK_TRANSPOSE and start == 0 and n >= 2:
+        S[0] = corner_witness(n)
+        rank_one[0] = False
+    S[rank_one] = _draw_psd_rank_one(n, m.field, rng, (np.count_nonzero(rank_one),))
+    S[wishart] = _draw_psd_wishart(n, m.field, rng, (np.count_nonzero(wishart),))
+    return S
 
 
 @dataclasses.dataclass(frozen=True)
@@ -289,29 +306,32 @@ def check_positivity_preserving(m: MapId, trials: int = 1000, rng_seed: int = 0)
 
     The first trial for the full block transpose (n >= 2) is the corner
     witness, so its violation is found deterministically.  At most 16
-    violations are stored; all are counted.
+    violations are stored, the first ones in trial order; all are counted.
+
+    The trials run in stacks of at most 2^15 matrix entries: each stack is
+    drawn, applied and eigenchecked at once (see ``_positive_samples``).
     """
     rng = np.random.default_rng(rng_seed)
     violations: list[PositivityViolation] = []
     count = 0
     min_out = math.inf
-    for t in range(trials):
-        S = _positive_sample(m, rng, t)
+    for start, k in stack_chunks(trials, 2 * m.n):
+        S = _positive_samples(m, rng, start, k)
         out = apply(m, S)
         verdict = is_psd(out, PSD_TOL)
-        min_out = min(min_out, verdict.min_eigenvalue)
-        if not verdict.is_psd:
-            count += 1
-            if len(violations) < _MAX_STORED_VIOLATIONS:
-                violations.append(
-                    PositivityViolation(
-                        trial=t,
-                        input=S,
-                        output=out,
-                        min_eigenvalue=verdict.min_eigenvalue,
-                        hermiticity_defect=verdict.hermiticity_defect,
-                    )
+        min_out = min(min_out, float(verdict.min_eigenvalue.min()))
+        bad = np.flatnonzero(~verdict.is_psd)
+        count += bad.size
+        for j in bad[: _MAX_STORED_VIOLATIONS - len(violations)]:
+            violations.append(
+                PositivityViolation(
+                    trial=start + int(j),
+                    input=S[j].copy(),
+                    output=out[j].copy(),
+                    min_eigenvalue=float(verdict.min_eigenvalue[j]),
+                    hermiticity_defect=float(verdict.hermiticity_defect[j]),
                 )
+            )
     return PositivityReport(
         trials=trials,
         violation_count=count,
@@ -530,11 +550,6 @@ def _spectral_norms(M: np.ndarray) -> np.ndarray:
     return np.sqrt(np.linalg.eigvalsh(M.conj().swapaxes(-1, -2) @ M)[..., -1])
 
 
-# matrix entries per stack that swap_bound_domination draws at once: 512 KiB
-# of complex128, so memory stays bounded at every n the CLI accepts
-_SWAP_BOUND_CHUNK_ENTRIES = 1 << 15
-
-
 def swap_bound_domination(n: int, samples: int = 10_000, rng_seed: int = 0) -> float:
     """Smallest margin of the closed-form bound over the true image norm.
 
@@ -549,10 +564,8 @@ def swap_bound_domination(n: int, samples: int = 10_000, rng_seed: int = 0) -> f
     """
     s = SystemId(SystemKind.TRANSPOSE_PAIRED_COMPLEX, n)
     rng = np.random.default_rng(rng_seed)
-    chunk = max(1, _SWAP_BOUND_CHUNK_ENTRIES // (4 * n * n))
     worst = math.inf
-    for start in range(0, samples, chunk):
-        k = min(chunk, samples - start)
+    for start, k in stack_chunks(samples, 2 * n):
         fields = _draw_fields(s, rng, 1.0, k)
         M = _embed_fields(s, fields, (k,))
         nm = _spectral_norms(M)
@@ -667,16 +680,20 @@ def corner_square_identities(A, c, d) -> float:
 
 def swap_bc_singular_check(n: int, trials: int = 1000, rng_seed: int = 0) -> float:
     """Largest deviation between the sorted singular values of
-    [[A, bI], [cI, dI]] and [[A, cI], [bI, dI]] over seeded random draws."""
+    [[A, bI], [cI, dI]] and [[A, cI], [bI, dI]] over seeded random draws.
+
+    The draws come in stacks of at most 2^15 matrix entries, each embedded
+    twice (b and c traded) and put through one batched SVD per embedding.
+    """
+    s = SystemId(SystemKind.FREE_CORNER, n)
     rng = np.random.default_rng(rng_seed)
     worst = 0.0
-    I = np.eye(n, dtype=np.complex128)
-    for _ in range(trials):
-        A, b, c, d = _draw_corner_tuple(n, rng)
-        M = np.block([[A, b * I], [c * I, d * I]])
-        N = np.block([[A, c * I], [b * I, d * I]])
-        dev = float(np.abs(np.linalg.svd(M, compute_uv=False) - np.linalg.svd(N, compute_uv=False)).max())
-        worst = max(worst, dev)
+    for _, k in stack_chunks(trials, 2 * n):
+        A, b, c, d = _draw_corner_tuple(n, rng, k)
+        M = _embed_fields(s, {"A": A, "b": b, "c": c, "d": d}, (k,))
+        N = _embed_fields(s, {"A": A, "b": c, "c": b, "d": d}, (k,))
+        dev = np.abs(np.linalg.svd(M, compute_uv=False) - np.linalg.svd(N, compute_uv=False)).max()
+        worst = max(worst, float(dev))
     return worst
 
 
@@ -695,7 +712,7 @@ def char_poly_swap_check(
     I = np.eye(n, dtype=np.complex128)
     I2n = np.eye(2 * n, dtype=np.complex128)
     for _ in range(instances):
-        A, b, c, d = _draw_corner_tuple(n, rng)
+        A, b, c, d = (x[0] for x in _draw_corner_tuple(n, rng, 1))
         M = np.block([[A, b * I], [c * I, d * I]])
         N = np.block([[A, c * I], [b * I, d * I]])
         GM = M.conj().T @ M

@@ -41,6 +41,7 @@ from .linalg import (
     FieldMismatchError,
     SparseBasis,
     as_square,
+    as_squares,
     hermitian_part_eigenvalues,
     hermiticity_defect,
     is_psd,
@@ -270,28 +271,43 @@ def _embed_fields(s: SystemId, fields, lead: tuple[int, ...]) -> np.ndarray:
     return M
 
 
-def _is_scalar_block(X: np.ndarray) -> bool:
-    n = X.shape[0]
-    return bool(np.abs(X - X[0, 0] * np.eye(n)).max() <= MEMBERSHIP_TOL)
+def _largest(X: np.ndarray):
+    """Largest entry of each matrix of a stack (a scalar for one matrix)."""
+    return X.max(axis=(-2, -1))
 
 
-def contains(s: SystemId, M) -> bool:
-    """Whether a matrix lies in the subspace, entrywise within MEMBERSHIP_TOL."""
-    A = as_square(M)
-    if A.shape[0] != 2 * s.n:
-        return False
+def contains(s: SystemId, M) -> bool | np.ndarray:
+    """Whether a matrix lies in the subspace, entrywise within MEMBERSHIP_TOL.
+
+    A stack of matrices gets one verdict per matrix, as a bool array over
+    the leading axes.
+    """
+    A = as_squares(M)
+    lead = A.shape[:-2]
+    if A.shape[-1] != 2 * s.n:
+        return np.zeros(lead, dtype=bool) if lead else False
+    ok = np.True_
     if s.field is Field.REAL and A.dtype.kind == "c":
-        if np.abs(A.imag).max() > MEMBERSHIP_TOL:
-            return False
+        ok = ~(_largest(np.abs(A.imag)) > MEMBERSHIP_TOL)
         A = A.real
     n = s.n
+    I = np.eye(n)
     for _, block, role in _LAYOUT[_ELEMENT_CLASS[s.kind]]:
         X = _block(A, n, block)
-        if role is Role.SCALAR and not _is_scalar_block(X):
-            return False
-        if role is Role.TIED and not np.abs(_block(A, n, block[::-1]) - X.T).max() <= MEMBERSHIP_TOL:
-            return False
-    return True
+        if role is Role.SCALAR:
+            ok = ok & (_largest(np.abs(X - X[..., :1, :1] * I)) <= MEMBERSHIP_TOL)
+        elif role is Role.TIED:
+            mirrored = _block(A, n, block[::-1])
+            ok = ok & (_largest(np.abs(mirrored - X.swapaxes(-1, -2))) <= MEMBERSHIP_TOL)
+    return ok if lead else bool(ok)
+
+
+def _require_contained(s: SystemId, M) -> None:
+    """Raise DomainViolationError unless the matrix, or every matrix of a
+    stack, lies in the subspace."""
+    inside = contains(s, M)
+    if not (inside if isinstance(inside, bool) else inside.all()):
+        raise DomainViolationError(f"matrix is not in {s.kind.token} at tol {MEMBERSHIP_TOL}")
 
 
 def extract(s: SystemId, M) -> SystemElement:
@@ -300,8 +316,7 @@ def extract(s: SystemId, M) -> SystemElement:
     Scalars are taken from single matrix entries (never from averages), so
     embed(extract(s, embed(e))) reproduces the matrix bit for bit.
     """
-    if not contains(s, M):
-        raise DomainViolationError(f"matrix is not in {s.kind.token} at tol {MEMBERSHIP_TOL}")
+    _require_contained(s, M)
     A = as_square(M)
     if s.field is Field.REAL and A.dtype.kind == "c":
         A = A.real
@@ -378,10 +393,14 @@ def _draw_fields(s: SystemId, rng: np.random.Generator, scale: float, k: int) ->
     return fields
 
 
+def _element_at(s: SystemId, fields: dict[str, np.ndarray], j: int) -> SystemElement:
+    """The element made of row j of a stack of field values."""
+    return _ELEMENT_CLASS[s.kind](s, **{name: value[j] for name, value in fields.items()})
+
+
 def _draw_element(s: SystemId, rng: np.random.Generator, scale: float) -> SystemElement:
     """One seeded generic element: the k = 1 case of ``_draw_fields``."""
-    fields = _draw_fields(s, rng, scale, 1)
-    return _ELEMENT_CLASS[s.kind](s, **{name: value[0] for name, value in fields.items()})
+    return _element_at(s, _draw_fields(s, rng, scale, 1), 0)
 
 
 def _draw_positive(s: SystemId, rng: np.random.Generator) -> SystemElement:
@@ -391,51 +410,74 @@ def _draw_positive(s: SystemId, rng: np.random.Generator) -> SystemElement:
 
 def _draw_positive_embedded(s: SystemId, rng: np.random.Generator) -> tuple[SystemElement, np.ndarray]:
     """One seeded PSD element and the matrix it embeds to, verified on that
-    matrix before return."""
+    matrix before return: the k = 1 case of ``_draw_positive_fields``."""
+    fields, M = _draw_positive_fields(s, rng, 1)
+    return _element_at(s, fields, 0), M[0]
+
+
+def _draw_positive_fields(
+    s: SystemId, rng: np.random.Generator, k: int
+) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """Fields of k seeded PSD elements and the (k, 2n, 2n) stack they embed
+    to, verified on that stack before return.
+
+    Each generator call covers the whole stack, in the order one element's
+    draw makes them; a value only some elements need (a nonzero scalar, the
+    corner it allows) is drawn once per such element.  So k = 1 consumes
+    the generator exactly as one element's draw does.
+    """
     n = s.n
+    cplx = s.field is Field.COMPLEX
+
+    def scalar():
+        # uniform in [0.05, 2], pinned to 0 on a tenth of draws
+        x = np.zeros(k)
+        live = rng.random(k) >= 0.1
+        x[live] = rng.uniform(0.05, 2.0, np.count_nonzero(live))
+        return x
+
+    def gaussian(count: int, complex_entries: bool) -> np.ndarray:
+        G = rng.normal(size=(count, n, n))
+        return G + 1j * rng.normal(size=(count, n, n)) if complex_entries else G
+
     if s.kind not in CORNER_KINDS:
-        # [[a I, K], [K*, b I]] with ||K|| <= sqrt(ab); a tenth of draws pin
-        # a or b to 0, which forces K = 0.  K is complex on the scalar-diagonal
-        # system and real on the paired ones, where K* = K^t.
-        cplx = s.kind is SystemKind.SCALAR_DIAGONAL
-        a = 0.0 if rng.random() < 0.1 else float(rng.uniform(0.05, 2.0))
-        b = 0.0 if rng.random() < 0.1 else float(rng.uniform(0.05, 2.0))
-        if a * b == 0.0:
-            K = np.zeros((n, n), dtype=np.complex128 if cplx else np.float64)
-        else:
-            G = rng.normal(size=(n, n))
-            if cplx:
-                G = G + 1j * rng.normal(size=(n, n))
-            K = G * (rng.uniform(0.0, 1.0) * math.sqrt(a * b) / max(operator_norm(G), 1e-300))
-        e: SystemElement = (
-            ScalarDiagonalElement(s, a, b, K, K.conj().T) if cplx else PairedCornerElement(s, a, b, K)
-        )
+        # [[a I, K], [K*, b I]] with ||K|| <= sqrt(ab); a pinned a or b
+        # forces K = 0.  K is complex on the scalar-diagonal system and real
+        # on the paired ones, where K* = K^t.
+        sd = s.kind is SystemKind.SCALAR_DIAGONAL
+        a, b = scalar(), scalar()
+        ab = a * b
+        live = ab != 0.0
+        G = gaussian(np.count_nonzero(live), sd)
+        K = np.zeros((k, n, n), dtype=G.dtype)
+        norms = np.linalg.svd(G, compute_uv=False)[:, 0]
+        radius = rng.uniform(0.0, 1.0, len(G)) * np.sqrt(ab[live]) / np.maximum(norms, 1e-300)
+        K[live] = G * radius[:, None, None]
+        a, b = a.astype(s.field.dtype), b.astype(s.field.dtype)
+        fields = {"a": a, "d": b, "B": K, "C": K.conj().swapaxes(-1, -2)} if sd else {"a": a, "b": b, "C": K}
     else:
-        G = (
-            rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-            if s.field is Field.COMPLEX
-            else rng.normal(size=(n, n))
-        )
-        A = G @ G.conj().T / n
-        d = 0.0 if rng.random() < 0.1 else float(rng.uniform(0.05, 2.0))
-        if d == 0.0:
-            b = 0.0 if s.field is Field.REAL else 0j
+        G = gaussian(k, cplx)
+        A = G @ G.conj().swapaxes(-1, -2) / n
+        d = scalar()
+        live = d != 0.0
+        lam_min = np.maximum(np.linalg.eigvalsh(A[live])[:, 0], 0.0)
+        r = rng.uniform(0.0, 1.0, len(lam_min)) * np.sqrt(d[live] * lam_min)
+        b = np.zeros(k, dtype=s.field.dtype)
+        if cplx:
+            theta = rng.uniform(0.0, 2.0 * math.pi, len(r))
+            # libm's cos and sin per element, as the one-element draw took
+            # them: numpy's vectorised ones may differ in the last bit
+            b[live] = [ri * complex(math.cos(t), math.sin(t)) for ri, t in zip(r.tolist(), theta.tolist())]
         else:
-            lam_min = max(float(np.linalg.eigvalsh(A)[0]), 0.0)
-            r = rng.uniform(0.0, 1.0) * math.sqrt(d * lam_min)
-            if s.field is Field.COMPLEX:
-                theta = rng.uniform(0.0, 2.0 * math.pi)
-                b = r * complex(math.cos(theta), math.sin(theta))
-            else:
-                b = r if rng.random() < 0.5 else -r
-        e = FreeCornerElement(s, A, b, np.conj(b), d)
-    M = embed(e)
+            b[live] = np.where(rng.random(len(r)) < 0.5, r, -r)
+        fields = {"A": A, "b": b, "c": np.conj(b), "d": d.astype(s.field.dtype)}
+    M = _embed_fields(s, fields, (k,))
     verdict = is_psd(M, tol=IDENTITY_TOL)
-    if not verdict.is_psd:
+    if not verdict.is_psd.all():
         raise AssertionError(
-            f"positive sampler produced min eigenvalue {verdict.min_eigenvalue:.3e}"
+            f"positive sampler produced min eigenvalue {verdict.min_eigenvalue.min():.3e}"
         )
-    return e, M
+    return fields, M
 
 
 def _draw_selfadjoint(s: SystemId, rng: np.random.Generator) -> SystemElement:
@@ -452,35 +494,49 @@ def _draw_selfadjoint(s: SystemId, rng: np.random.Generator) -> SystemElement:
     return FreeCornerElement(s, (G + G.conj().T) / 2.0, np.conj(c), c, float(rng.normal()))
 
 
-def _draw_corner_tuple(n: int, rng: np.random.Generator) -> tuple[np.ndarray, complex, complex, complex]:
-    """Entries (A, b, c, d) of [[A, b I], [c I, d I]]: A with i.i.d. complex
-    Gaussian entries of variance 1/n, b, c and d complex Gaussian of variance 1."""
-    A = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) / math.sqrt(2 * n)
-    b, c, d = (complex(rng.normal(), rng.normal()) / math.sqrt(2) for _ in range(3))
-    return A, b, c, d
+def _draw_corner_tuple(
+    n: int, rng: np.random.Generator, k: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Entries (A, b, c, d) of k matrices [[A, b I], [c I, d I]], as stacks
+    of shape (k, n, n) and (k,): A with i.i.d. complex Gaussian entries of
+    variance 1/n, b, c and d complex Gaussian of variance 1.  The scalars of
+    each element are drawn as the parts of b, c, d in turn, so k = 1
+    consumes the generator as one draw per part would."""
+    A = (rng.normal(size=(k, n, n)) + 1j * rng.normal(size=(k, n, n))) / math.sqrt(2 * n)
+    bcd = (rng.normal(size=(k, 3, 2)) / math.sqrt(2)).view(np.complex128)[..., 0]
+    return A, bcd[:, 0], bcd[:, 1], bcd[:, 2]
 
 
-def _draw_full(n: int, field: Field, rng: np.random.Generator) -> np.ndarray:
+def _draw_full(n: int, field: Field, rng: np.random.Generator, lead: tuple[int, ...] = ()) -> np.ndarray:
     """2n x 2n matrix of the full algebra with i.i.d. Gaussian entries of
-    variance 1/(2n), split across the parts when complex."""
+    variance 1/(2n), split across the parts when complex; a stack of them
+    over ``lead``."""
+    shape = lead + (2 * n, 2 * n)
     if field is Field.COMPLEX:
-        return (rng.normal(size=(2 * n, 2 * n)) + 1j * rng.normal(size=(2 * n, 2 * n))) / math.sqrt(4 * n)
-    return rng.normal(size=(2 * n, 2 * n)) / math.sqrt(2 * n)
+        return (rng.normal(size=shape) + 1j * rng.normal(size=shape)) / math.sqrt(4 * n)
+    return rng.normal(size=shape) / math.sqrt(2 * n)
 
 
-def _draw_psd_rank_one(n: int, field: Field, rng: np.random.Generator) -> np.ndarray:
-    """Projection v v* / |v|^2 onto a Gaussian vector of length 2n."""
+def _draw_psd_rank_one(
+    n: int, field: Field, rng: np.random.Generator, lead: tuple[int, ...] = ()
+) -> np.ndarray:
+    """Projection v v* / |v|^2 onto a Gaussian vector of length 2n; a stack
+    of them over ``lead``."""
+    shape = lead + (2 * n,)
     if field is Field.COMPLEX:
-        v = rng.normal(size=2 * n) + 1j * rng.normal(size=2 * n)
+        v = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     else:
-        v = rng.normal(size=2 * n)
-    return np.outer(v, v.conj()) / max(float(np.real(np.vdot(v, v))), 1e-300)
+        v = rng.normal(size=shape)
+    norm2 = np.maximum(np.sum((v.conj() * v).real, axis=-1), 1e-300)
+    return v[..., :, None] * v.conj()[..., None, :] / norm2[..., None, None]
 
 
-def _draw_psd_wishart(n: int, field: Field, rng: np.random.Generator) -> np.ndarray:
-    """G G* for G drawn by ``_draw_full``."""
-    G = _draw_full(n, field, rng)
-    return G @ G.conj().T
+def _draw_psd_wishart(
+    n: int, field: Field, rng: np.random.Generator, lead: tuple[int, ...] = ()
+) -> np.ndarray:
+    """G G* for G drawn by ``_draw_full``; a stack of them over ``lead``."""
+    G = _draw_full(n, field, rng, lead)
+    return G @ G.conj().swapaxes(-1, -2)
 
 
 def _scalar_corners(

@@ -27,6 +27,7 @@ from opsyscheck import (
     embed,
     estimate_map_norm,
     hermitian_eigenvalues,
+    is_psd,
     kadison_schwarz_check,
     offdiag_swap_norm_bound,
     operator_norm,
@@ -164,6 +165,28 @@ def test_positivity_report_caps_stored_witnesses():
     rep = check_positivity_preserving(MapId(MapKind.BLOCK_TRANSPOSE, 2), trials=400, rng_seed=0)
     assert rep.violation_count > len(rep.violations)
     assert len(rep.violations) <= 16
+
+
+@pytest.mark.parametrize("n", [2, 17])
+def test_stored_violations_come_in_trial_order_as_copies(n):
+    # at n = 17 a stack holds 28 trials, so 200 trials span several stacks
+    m = MapId(MapKind.BLOCK_TRANSPOSE, n)
+    rep = check_positivity_preserving(m, trials=200, rng_seed=0)
+    assert len(rep.violations) == 16 and rep.violation_count > 16
+    trials = [v.trial for v in rep.violations]
+    assert trials[0] == 0 and trials == sorted(set(trials))
+    assert np.array_equal(rep.violations[0].input, corner_witness(n))
+    arrays = [x for v in rep.violations for x in (v.input, v.output)]
+    for i, x in enumerate(arrays):
+        assert x.shape == (2 * n, 2 * n) and x.base is None
+        assert not any(np.shares_memory(x, y) for y in arrays[i + 1 :])
+    for v in rep.violations:
+        # each stored violation is what the single-matrix calls give on its input
+        out = apply(m, v.input)
+        verdict = is_psd(out)
+        assert np.array_equal(out, v.output)
+        assert not verdict.is_psd and verdict.min_eigenvalue == v.min_eigenvalue
+        assert verdict.hermiticity_defect == v.hermiticity_defect
 
 
 @pytest.mark.parametrize(
@@ -343,6 +366,31 @@ def test_swap_bound_memory_is_bounded_at_the_largest_size():
     assert worst >= -1e-9
     one_stack = samples * (2 * n) ** 2 * 16
     assert peak < one_stack / 3, f"peak {peak / 2**20:.1f} MiB"
+
+
+@pytest.mark.parametrize(
+    "check,kind",
+    [
+        (check_positivity_preserving, MapKind.BLOCK_TRANSPOSE),
+        (check_positivity_preserving, MapKind.CORNER_TRANSPOSE),
+        (check_structural, MapKind.BLOCK_TRANSPOSE),
+        (check_structural, MapKind.OFFDIAG_SWAP_COMPLEX),
+    ],
+)
+def test_map_checks_memory_is_bounded_at_the_largest_size(check, kind):
+    # at n = 64 one 128 x 128 complex matrix holds 256 KiB, so the 100
+    # trials drawn as one stack would hold 25 MiB in that stack alone (500
+    # trials: 131 MB); the 16 stored violations of the block transpose hold
+    # 8 MiB of it
+    n, trials = 64, 100
+    tracemalloc.start()
+    try:
+        check(MapId(kind, n), trials=trials, rng_seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    one_stack = trials * (2 * n) ** 2 * 16
+    assert peak < one_stack / 2, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_swap_bc_singular_values():

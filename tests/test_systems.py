@@ -26,10 +26,13 @@ from opsyscheck import (
     is_psd,
 )
 from opsyscheck.systems import (
+    CORNER_KINDS,
+    _draw_corner_tuple,
     _draw_element,
     _draw_fields,
     _draw_positive,
     _draw_positive_embedded,
+    _draw_positive_fields,
     _draw_psd_rank_one,
     _draw_psd_wishart,
     _embed_fields,
@@ -352,3 +355,107 @@ def test_stacked_draw_rows_are_members(kind, n, seed, k):
         assert contains(s, M)
         # each row is the embedding of the element made of that row's fields
         assert _bits(M) == _bits(embed(cls(s, **{name: value[j] for name, value in fields.items()})))
+
+
+def _reference_draw_positive(s, rng):
+    """Reference one-element positive draw: one generator call per value, in
+    the order the stacked sampler must keep at k = 1."""
+    n = s.n
+    if s.kind not in CORNER_KINDS:
+        cplx = s.kind is SystemKind.SCALAR_DIAGONAL
+        a = 0.0 if rng.random() < 0.1 else float(rng.uniform(0.05, 2.0))
+        b = 0.0 if rng.random() < 0.1 else float(rng.uniform(0.05, 2.0))
+        if a * b == 0.0:
+            K = np.zeros((n, n), dtype=np.complex128 if cplx else np.float64)
+        else:
+            G = rng.normal(size=(n, n))
+            if cplx:
+                G = G + 1j * rng.normal(size=(n, n))
+            norm = float(np.linalg.svd(G, compute_uv=False)[0])
+            K = G * (rng.uniform(0.0, 1.0) * math.sqrt(a * b) / max(norm, 1e-300))
+        if cplx:
+            return ScalarDiagonalElement(s, a, b, K, K.conj().T)
+        return PairedCornerElement(s, a, b, K)
+    G = rng.normal(size=(n, n))
+    if s.field is Field.COMPLEX:
+        G = G + 1j * rng.normal(size=(n, n))
+    A = G @ G.conj().T / n
+    d = 0.0 if rng.random() < 0.1 else float(rng.uniform(0.05, 2.0))
+    if d == 0.0:
+        b = 0.0 if s.field is Field.REAL else 0j
+    else:
+        lam_min = max(float(np.linalg.eigvalsh(A)[0]), 0.0)
+        r = rng.uniform(0.0, 1.0) * math.sqrt(d * lam_min)
+        if s.field is Field.COMPLEX:
+            theta = rng.uniform(0.0, 2.0 * math.pi)
+            b = r * complex(math.cos(theta), math.sin(theta))
+        else:
+            b = r if rng.random() < 0.5 else -r
+    return FreeCornerElement(s, A, b, np.conj(b), d)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 17])
+@settings(max_examples=25, deadline=None)
+@given(seed=SEEDS)
+def test_single_positive_draw_is_the_stacked_draw_at_k1(kind, n, seed):
+    s = SystemId(kind, n)
+    ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    want = _reference_draw_positive(s, ref_rng)
+    got, M = _draw_positive_embedded(s, rng)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert type(got) is type(want)
+    for f in dataclasses.fields(want)[1:]:
+        value = getattr(want, f.name)
+        assert type(getattr(got, f.name)) is type(value)
+        assert _bits(getattr(got, f.name)) == _bits(value)
+    assert M.dtype == s.field.dtype
+    assert _bits(M) == _bits(embed(want))
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("n", [1, 2, 5])
+@settings(max_examples=10, deadline=None)
+@given(seed=SEEDS, k=st.integers(min_value=2, max_value=12))
+def test_stacked_positive_draw_rows_are_positive_members(kind, n, seed, k):
+    s = SystemId(kind, n)
+    fields, stack = _draw_positive_fields(s, np.random.default_rng(seed), k)
+    assert stack.shape == (k, 2 * n, 2 * n) and stack.dtype == s.field.dtype
+    assert contains(s, stack).all()
+    assert is_psd(stack, tol=1e-9).is_psd.all()
+    cls = type(identity_element(s))
+    for j, M in enumerate(stack):
+        e = cls(s, **{name: value[j] for name, value in fields.items()})
+        assert is_positive_by_criterion(e)
+        assert _bits(M) == _bits(embed(e))
+
+
+def _reference_corner_tuple(n, rng):
+    """Reference (A, b, c, d) draw: A's parts, then each scalar's parts."""
+    A = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) / math.sqrt(2 * n)
+    b, c, d = (complex(rng.normal(), rng.normal()) / math.sqrt(2) for _ in range(3))
+    return A, b, c, d
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6, 17])
+@settings(max_examples=25, deadline=None)
+@given(seed=SEEDS)
+def test_single_corner_tuple_is_the_stacked_draw_at_k1(n, seed):
+    ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    want = _reference_corner_tuple(n, ref_rng)
+    got = _draw_corner_tuple(n, rng, 1)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert [x.shape for x in got] == [(1, n, n), (1,), (1,), (1,)]
+    for x, w in zip(got, want):
+        assert _bits(x[0]) == _bits(np.complex128(w))
+
+
+@pytest.mark.parametrize("field", list(Field))
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_stacked_full_algebra_psd_draws(field, n):
+    rng = np.random.default_rng(n)
+    for draw in (_draw_psd_rank_one, _draw_psd_wishart):
+        P = draw(n, field, rng, (7,))
+        assert P.shape == (7, 2 * n, 2 * n)
+        assert P.dtype == field.dtype
+        assert is_psd(P, tol=1e-9).is_psd.all()
