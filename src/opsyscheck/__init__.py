@@ -14,7 +14,6 @@ from .linalg import (
     NotHermitianError,
     PsdVerdict,
     block2x2,
-    blocks2x2,
     char_poly_block_eval,
     hermitian_eigenvalues,
     hermitian_part_eigenvalues,

@@ -42,6 +42,7 @@ from .maps import (
     corner_witness,
     quarter_transpose_witness_norm,
 )
+from .systems import SystemId, SystemKind, _embed_fields
 
 
 class Outcome(enum.Enum):
@@ -88,7 +89,7 @@ def schur_implication(P, X, tol: float = PSD_TOL) -> SchurReport:
     P = np.asarray(P, dtype=np.complex128)
     X = np.asarray(X, dtype=np.complex128)
     n = P.shape[0]
-    big = np.block([[P, X.conj().T], [X, np.eye(n, dtype=np.complex128)]])
+    big = block2x2(P, X.conj().T, X, np.eye(n, dtype=np.complex128))
     m_big = float(hermitian_part_eigenvalues(big)[0])
     comp = P - X.conj().T @ X
     m_comp = float(hermitian_part_eigenvalues(comp)[0])
@@ -253,6 +254,19 @@ def certify_quarter_transpose(n: int) -> Verdict:
     return verdict
 
 
+def _identity_extension(reason: str, dtype) -> Verdict:
+    """At n = 1 the map is the identity, and so is its extension: nothing is
+    sampled, every residual is 0 at tolerance 0."""
+    steps = (Step(reason, 0.0, 0.0), Step("the identity map of the full algebra extends it", 0.0, 0.0))
+    return Verdict(
+        outcome=Outcome.EXTENSION_EXHIBITED,
+        threshold_used=1,
+        witnesses=(("fixed-point", np.eye(2, dtype=dtype)),),
+        narrative=steps,
+        margin=None,
+    )
+
+
 def certify_offdiag_swap(n: int) -> Verdict:
     """The off-diagonal swap admits no positive unital extension for n >= 2.
 
@@ -263,28 +277,8 @@ def certify_offdiag_swap(n: int) -> Verdict:
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     if n == 1:
-        I2 = np.eye(2)
-        rng = np.random.default_rng(7)
-        worst = 0.0
-        for _ in range(20):
-            G = rng.normal(size=(2, 2))
-            S = G @ G.T
-            worst = max(worst, abs(min(float(hermitian_eigenvalues(S)[0]), 0.0)))
-        steps = (
-            Step("at n = 1 transposition is trivial, so the map is the identity", 0.0, 0.0),
-            Step(
-                "the identity map of the full algebra extends it and preserves"
-                " positivity on sampled PSD inputs",
-                worst,
-                EXACT_TOL,
-            ),
-        )
-        return Verdict(
-            outcome=Outcome.EXTENSION_EXHIBITED,
-            threshold_used=1,
-            witnesses=(("fixed-point", I2),),
-            narrative=steps,
-            margin=None,
+        return _identity_extension(
+            "at n = 1 transposition is trivial, so the map is the identity", np.float64
         )
     return _scaling_certificate(n, 1.0, threshold=1)
 
@@ -318,7 +312,7 @@ def lower_right_forcing_check(n: int, trials: int = 50, rng_seed: int = 0) -> fl
         D = (D + D.conj().T) / 2.0
         lower, upper = squeeze_bounds(D)
         Dt = D.T
-        feas = np.block([[Dt, Dt], [Dt, Dt]])
+        feas = block2x2(Dt, Dt, Dt, Dt)
         feas_min = float(hermitian_part_eigenvalues(feas)[0])
         worst = max(
             worst,
@@ -353,17 +347,8 @@ def certify_corner_transpose(n: int, rng_seed: int = 0) -> Verdict:
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     if n == 1:
-        I2 = np.eye(2, dtype=np.complex128)
-        steps = (
-            Step("at n = 1 the upper-left block is a scalar, so the map is the identity", 0.0, 0.0),
-            Step("the identity map of the full algebra extends it", 0.0, 0.0),
-        )
-        return Verdict(
-            outcome=Outcome.EXTENSION_EXHIBITED,
-            threshold_used=1,
-            witnesses=(("fixed-point", I2),),
-            narrative=steps,
-            margin=None,
+        return _identity_extension(
+            "at n = 1 the upper-left block is a scalar, so the map is the identity", np.complex128
         )
     rng = np.random.default_rng(rng_seed)
 
@@ -379,10 +364,11 @@ def certify_corner_transpose(n: int, rng_seed: int = 0) -> Verdict:
         MEMBERSHIP_TOL,
     )
 
-    Z = np.zeros((n, n), dtype=np.complex128)
+    # the forced images are scalar-diagonal matrices with zero scalars
+    s = SystemId(SystemKind.SCALAR_DIAGONAL, n)
 
     def forced_paired_image(A: np.ndarray, c: complex) -> np.ndarray:
-        return np.block([[Z, np.conj(c) * A.T], [c * A.T, Z]])
+        return _embed_fields(s, {"a": 0.0, "d": 0.0, "B": np.conj(c) * A.T, "C": c * A.T}, ())
 
     r_flip = 0.0
     for A in _hermitian_basis(n):
@@ -410,7 +396,7 @@ def certify_corner_transpose(n: int, rng_seed: int = 0) -> Verdict:
         lower_img = lower_img + 1.0j * (
             0.5 * (forced_paired_image(B, 1.0) + (1.0 / 1.0j) * forced_paired_image(B, 1.0j))
         )
-        target = np.block([[Z, Z], [C.T, Z]])
+        target = _embed_fields(s, {"a": 0.0, "d": 0.0, "B": np.zeros((n, n)), "C": C.T}, ())
         r_rec = max(r_rec, float(np.abs(lower_img - target).max()))
     step3 = Step(
         "Cartesian decomposition C = A + iB rebuilds the forced image of an"

@@ -3,8 +3,8 @@
 Everything downstream works with square complex or real matrices split into
 four n x n blocks.  This module owns the low-level conventions: the
 tolerance table every module decides with, eigenvalue and singular-value
-computations, the PSD decision rule, block assembly and extraction, and
-the reduced characteristic polynomial for scalar-cornered block matrices.
+computations, the PSD decision rule, generic block assembly and the
+reduced characteristic polynomial for scalar-cornered block matrices.
 """
 
 from __future__ import annotations
@@ -199,21 +199,9 @@ def block2x2(A, B, C, D) -> np.ndarray:
     kinds = {X.dtype.kind for X in blocks}
     if len(kinds) != 1:
         raise FieldMismatchError("blocks mix real and complex entries")
-    return np.block([[blocks[0], blocks[1]], [blocks[2], blocks[3]]])
-
-
-def blocks2x2(M) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Split an even-order square matrix into its four blocks (copies)."""
-    A = as_square(M)
-    if A.shape[0] % 2 != 0:
-        raise DimensionMismatchError(f"order {A.shape[0]} is odd, cannot split into blocks")
-    n = A.shape[0] // 2
-    return (
-        A[:n, :n].copy(),
-        A[:n, n:].copy(),
-        A[n:, :n].copy(),
-        A[n:, n:].copy(),
-    )
+    M = np.zeros((2 * n, 2 * n), dtype=blocks[0].dtype)
+    M[:n, :n], M[:n, n:], M[n:, :n], M[n:, n:] = blocks
+    return M
 
 
 @dataclasses.dataclass(frozen=True)

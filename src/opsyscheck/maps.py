@@ -43,7 +43,7 @@ from .linalg import (
     _require_finite,
     as_square,
     as_squares,
-    blocks2x2,
+    block2x2,
     char_poly_block_eval,
     hermitian_part_eigenvalues,
     hermiticity_defect,
@@ -348,17 +348,6 @@ class NormEstimate:
     witness: np.ndarray
 
 
-def _parameter_basis(m: MapId) -> SparseBasis:
-    """The domain's parameter basis; for a full-algebra map, the row-major
-    matrix units, followed over the complex field by i times each."""
-    if m.domain is not None:
-        return parameter_basis(m.domain)
-    size = 4 * m.n * m.n
-    units = np.array((1.0, 1j) if m.field is Field.COMPLEX else (1.0,), dtype=m.field.dtype)
-    par = np.arange(units.size * size)
-    return SparseBasis(par.size, 2 * m.n, par, par % size, np.repeat(units, size))
-
-
 def _structured_starts(m: MapId, basis: SparseBasis) -> list[np.ndarray]:
     n = m.n
     starts = [basis.params(np.eye(2 * n, dtype=m.field.dtype))]
@@ -369,8 +358,6 @@ def _structured_starts(m: MapId, basis: SparseBasis) -> list[np.ndarray]:
         if n >= 2:
             C[1, 0] = 1.0j
         starts.append(basis.params(embed(PairedCornerElement(m.domain, 1.0, 0.0, C))))
-    if m.kind is MapKind.BLOCK_TRANSPOSE and n >= 2:
-        starts.append(basis.params(block_transpose(corner_witness(n))))
     return starts
 
 
@@ -422,7 +409,8 @@ def estimate_map_norm(
     """Multi-start gradient ascent for the operator norm of the map.
 
     The norm is the largest ratio sigma_1(map(X)) / sigma_1(X) over a real
-    parameterization X = sum_i x_i B_i of the domain.  At the extremal
+    parameterization X = sum_i x_i B_i of the domain; a map on the full
+    algebra has none and raises ValueError.  At the extremal
     points sigma_1(X) is often multiple (the complex swap's witness has a
     double top singular value), where the ratio has a ridge that plain
     gradient ascent zigzags on and stalls short of.  The ascent therefore
@@ -450,7 +438,9 @@ def estimate_map_norm(
     a known extremal configuration get it as a second start; the remaining
     starts are seeded Gaussian draws.
     """
-    basis = _parameter_basis(m)
+    if m.domain is None:
+        raise ValueError(f"{m.kind.token} acts on the full algebra; the norm search needs a domain")
+    basis = parameter_basis(m.domain)
 
     # structured starts always run; random restarts fill the remaining budget
     starts = _structured_starts(m, basis)
@@ -586,10 +576,9 @@ def swap_bound_domination(n: int, samples: int = 10_000, rng_seed: int = 0) -> f
 
 def _trace_average_diagonal(M: np.ndarray) -> np.ndarray:
     """Conditional-expectation step: diagonal blocks averaged to (tr/n) I."""
-    A, B, C, D = blocks2x2(M)
-    n = A.shape[0]
-    I = np.eye(n, dtype=M.dtype)
-    return np.block([[np.trace(A) / n * I, B], [C, np.trace(D) / n * I]])
+    n = M.shape[0] // 2
+    fields = {"a": np.trace(M[:n, :n]) / n, "d": np.trace(M[n:, n:]) / n, "B": M[:n, n:], "C": M[n:, :n]}
+    return _embed_fields(SystemId(SystemKind.SCALAR_DIAGONAL, n), fields, ())
 
 
 @dataclasses.dataclass(frozen=True)
@@ -654,27 +643,18 @@ def corner_square_identities(A, c, d) -> float:
     d = float(d)
     n = A.shape[0]
     I = np.eye(n, dtype=np.complex128)
-    M = np.block([[A, np.conj(c) * I], [c * I, d * I]])
+    M = _embed_fields(SystemId(SystemKind.FREE_CORNER, n), {"A": A, "b": np.conj(c), "c": c, "d": d}, ())
 
-    def square_display(X: np.ndarray) -> np.ndarray:
-        return np.block(
-            [
-                [X @ X + abs(c) ** 2 * I, np.conj(c) * (X + d * I)],
-                [c * (X + d * I), (abs(c) ** 2 + d * d) * I],
-            ]
+    def square_display(X: np.ndarray, X2: np.ndarray) -> np.ndarray:
+        """The displayed square with X in the corner and X2 for its square."""
+        return block2x2(
+            X2 + abs(c) ** 2 * I, np.conj(c) * (X + d * I), c * (X + d * I), (abs(c) ** 2 + d * d) * I
         )
 
-    r1 = float(np.abs(M @ M - square_display(A)).max())
-    bt_sq = block_transpose(M @ M)
-    display_bt = np.block(
-        [
-            [(A @ A).T + abs(c) ** 2 * I, np.conj(c) * (A.T + d * I)],
-            [c * (A.T + d * I), (abs(c) ** 2 + d * d) * I],
-        ]
-    )
-    r2 = float(np.abs(bt_sq - display_bt).max())
+    r1 = float(np.abs(M @ M - square_display(A, A @ A)).max())
+    r2 = float(np.abs(block_transpose(M @ M) - square_display(A.T, (A @ A).T)).max())
     BTM = block_transpose(M)
-    r3 = float(np.abs(BTM @ BTM - square_display(A.T)).max())
+    r3 = float(np.abs(BTM @ BTM - square_display(A.T, A.T @ A.T)).max())
     return max(r1, r2, r3)
 
 
@@ -707,14 +687,14 @@ def char_poly_swap_check(
     determinant, at ``lambdas`` random complex points.  Returns the largest
     relative deviation.
     """
+    s = SystemId(SystemKind.FREE_CORNER, n)
     rng = np.random.default_rng(rng_seed)
     worst = 0.0
-    I = np.eye(n, dtype=np.complex128)
     I2n = np.eye(2 * n, dtype=np.complex128)
     for _ in range(instances):
         A, b, c, d = (x[0] for x in _draw_corner_tuple(n, rng, 1))
-        M = np.block([[A, b * I], [c * I, d * I]])
-        N = np.block([[A, c * I], [b * I, d * I]])
+        M = _embed_fields(s, {"A": A, "b": b, "c": c, "d": d}, ())
+        N = _embed_fields(s, {"A": A, "b": c, "c": b, "d": d}, ())
         GM = M.conj().T @ M
         GN = N.conj().T @ N
         for _ in range(lambdas):

@@ -13,8 +13,8 @@ Every block is a scalar multiple of I, a free block, or the transpose of
 another block.  One table, ``_LAYOUT``, says which for each field of the
 typed element classes, and embedding, membership, extraction, seeded random
 sampling and the real parameter basis of the norm search all derive from
-it.  All five shapes also carry a closed-form positivity criterion with a
-matching eigenvalue oracle.
+it, the basis through the embedding.  All five shapes also carry a
+closed-form positivity criterion with a matching eigenvalue oracle.
 
 Every seeded draw of an element or of a 2n x 2n matrix lives here, one
 sampler per distribution: generic, positive and self-adjoint elements, the
@@ -256,16 +256,21 @@ def embed(e: SystemElement) -> np.ndarray:
 def _embed_fields(s: SystemId, fields, lead: tuple[int, ...]) -> np.ndarray:
     """The (*lead, 2n, 2n) stack that field values stand for: scalar fields
     of shape ``lead`` (plain numbers when ``lead`` is empty) and block fields
-    of shape (*lead, n, n)."""
+    of shape (*lead, n, n).
+
+    This is the one place a field enters a matrix.  A scalar field is
+    written onto its block's diagonal and every other entry keeps its zero,
+    so each value is copied bit for bit.
+    """
     n = s.n
-    dtype = s.field.dtype
-    I = np.eye(n, dtype=dtype)
-    M = np.zeros(lead + (2 * n, 2 * n), dtype=dtype)
+    diagonal = np.arange(n)
+    M = np.zeros(lead + (2 * n, 2 * n), dtype=s.field.dtype)
     for name, block, role in _LAYOUT[_ELEMENT_CLASS[s.kind]]:
         value = fields[name]
         if role is Role.SCALAR:
-            value = (value[..., None, None] if lead else value) * I
-        _block(M, n, block)[...] = value
+            _block(M, n, block)[..., diagonal, diagonal] = np.asarray(value)[..., None]
+        else:
+            _block(M, n, block)[...] = value
         if role is Role.TIED:
             _block(M, n, block[::-1])[...] = value.swapaxes(-1, -2)
     return M
@@ -291,11 +296,13 @@ def contains(s: SystemId, M) -> bool | np.ndarray:
         ok = ~(_largest(np.abs(A.imag)) > MEMBERSHIP_TOL)
         A = A.real
     n = s.n
-    I = np.eye(n)
+    diagonal = np.arange(n)
     for _, block, role in _LAYOUT[_ELEMENT_CLASS[s.kind]]:
         X = _block(A, n, block)
         if role is Role.SCALAR:
-            ok = ok & (_largest(np.abs(X - X[..., :1, :1] * I)) <= MEMBERSHIP_TOL)
+            X = X.copy()
+            X[..., diagonal, diagonal] -= X[..., :1, 0]
+            ok = ok & (_largest(np.abs(X)) <= MEMBERSHIP_TOL)
         elif role is Role.TIED:
             mirrored = _block(A, n, block[::-1])
             ok = ok & (_largest(np.abs(mirrored - X.swapaxes(-1, -2))) <= MEMBERSHIP_TOL)
@@ -331,38 +338,34 @@ def extract(s: SystemId, M) -> SystemElement:
 def parameter_basis(s: SystemId) -> SparseBasis:
     """The real basis the norm search moves the subspace's elements along.
 
-    Scalar fields come first, in dataclass order, each as its real part
-    then (over the complex field) its imaginary part, a 1 or an i along the
-    diagonal of its block.  Block fields follow in dataclass order, each as
-    its real entries then its imaginary entries, row-major; a tied block's
-    parameter also sets the mirrored entry of the transposed block.
+    Scalar fields come first, in dataclass order, then block fields, each as
+    its real part then (over the complex field) its imaginary part: one
+    parameter per scalar, one per block entry, row-major.  The basis is read
+    off the embedding: the parameters are numbered from 1, each unit (1,
+    then i) embeds the numbers of its parameters as field values, and
+    basis matrix k holds that unit wherever number k + 1 lands.
     """
-    n, N = s.n, 2 * s.n
+    n = s.n
     units = (1.0, 1j) if s.field is Field.COMPLEX else (1.0,)
-    idx = np.arange(n)
-    diagonal = idx * (N + 1)
-    entries = (idx[:, None] * N + idx).ravel()
-    mirrored = (idx[:, None] + idx * N).ravel()
-    slots = sorted(_LAYOUT[_ELEMENT_CLASS[s.kind]], key=lambda slot: slot.role is not Role.SCALAR)
-    par, pos, val = [], [], []
+    numbers = [{} for _ in units]
     dim = 0
-    for _, (r, c), role in slots:
-        corner = r * n * N + c * n
-        for unit in units:
-            if role is Role.SCALAR:
-                k, p = np.full(n, dim), corner + diagonal
-                dim += 1
-            else:
-                k, p = dim + np.arange(n * n), corner + entries
-                dim += n * n
-            if role is Role.TIED:
-                # each parameter's two entries in a row, the upper-right one first
-                k = np.repeat(k, 2)
-                p = np.stack([p, c * n * N + r * n + mirrored], axis=1).ravel()
-            par.append(k)
-            pos.append(p)
-            val.append(np.full(k.size, unit, dtype=s.field.dtype))
-    return SparseBasis(dim, N, np.concatenate(par), np.concatenate(pos), np.concatenate(val))
+    slots = sorted(_LAYOUT[_ELEMENT_CLASS[s.kind]], key=lambda slot: slot.role is not Role.SCALAR)
+    for name, _, role in slots:
+        size = 1 if role is Role.SCALAR else n * n
+        for fields in numbers:
+            value = np.arange(dim + 1.0, dim + size + 1.0)
+            fields[name] = value[0] if role is Role.SCALAR else value.reshape(n, n)
+            dim += size
+    par, pos, val = [], [], []
+    for unit, fields in zip(units, numbers):
+        M = _embed_fields(s, fields, ()).real.ravel()
+        p = np.flatnonzero(M)
+        par.append(M[p].astype(np.intp) - 1)
+        pos.append(p)
+        val.append(np.full(p.size, unit, dtype=s.field.dtype))
+    par, pos, val = (np.concatenate(x) for x in (par, pos, val))
+    order = np.lexsort((pos, par))
+    return SparseBasis(dim, 2 * n, par[order], pos[order], val[order])
 
 
 def _draw_fields(s: SystemId, rng: np.random.Generator, scale: float, k: int) -> dict[str, np.ndarray]:

@@ -1,4 +1,5 @@
-"""Every module of the package uses each name it imports."""
+"""Every module of the package uses each name it imports, and none
+assembles blocks with ``np.block``."""
 
 import ast
 from pathlib import Path
@@ -34,3 +35,29 @@ def test_no_unused_imports(module):
 def test_guard_flags_an_unused_import():
     source = "import math\nfrom os import path, sep\nimport numpy as np\n\nx = np.pi + math.pi\ny = sep\n"
     assert _unused_imports(source) == [(2, "path")]
+
+
+def _np_block_calls(source: str) -> list[int]:
+    """Lines that call ``np.block`` or ``numpy.block``."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "block"
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id in ("np", "numpy")
+    ]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_no_np_block(module):
+    # fields enter a matrix through systems._embed_fields, generic blocks
+    # through linalg.block2x2
+    lines = _np_block_calls((PACKAGE / module).read_text())
+    assert not lines, ", ".join(f"{module}:{line} np.block" for line in lines)
+
+
+def test_guard_flags_np_block():
+    source = "import numpy as np\n\nM = np.block([[a, b], [c, d]])\nN = np.blocks(a)\nP = block(a)\n"
+    assert _np_block_calls(source) == [3]

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from opsyscheck import Field, SystemId, SystemKind, contains, embed, extract, identity_element
-from opsyscheck.systems import parameter_basis
+from opsyscheck.linalg import SparseBasis
+from opsyscheck.systems import _ELEMENT_CLASS, _LAYOUT, Role, parameter_basis
 
 # Parameter counts of the norm search before the layout table existed:
 # 4 + 4n^2 (phi), 2 + n^2 (upsilon), 4 + 2n^2 (upsilon-prime) and
@@ -28,6 +29,9 @@ CASES = [(kind, n) for kind in SystemKind for n in range(1, 7)]
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 PROPERTY = settings(max_examples=25, deadline=None)
+# finite doubles near the largest one must not overflow in embedding or
+# membership: any RuntimeWarning fails the property tests
+NO_RUNTIME_WARNING = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def bits(a) -> bytes:
@@ -44,6 +48,7 @@ def test_basis_dimension_matches_closed_form(kind, n):
 
 
 @pytest.mark.parametrize("kind, n", CASES)
+@NO_RUNTIME_WARNING
 @PROPERTY
 @given(data=st.data())
 def test_params_matrix_params_is_bitwise_exact(kind, n, data):
@@ -56,6 +61,7 @@ def test_params_matrix_params_is_bitwise_exact(kind, n, data):
 
 
 @pytest.mark.parametrize("kind, n", CASES)
+@NO_RUNTIME_WARNING
 @PROPERTY
 @given(data=st.data())
 def test_every_basis_combination_is_contained(kind, n, data):
@@ -69,6 +75,7 @@ def test_every_basis_combination_is_contained(kind, n, data):
 
 
 @pytest.mark.parametrize("kind, n", CASES)
+@NO_RUNTIME_WARNING
 @PROPERTY
 @given(data=st.data())
 def test_extract_embed_is_bitwise_exact(kind, n, data):
@@ -91,10 +98,46 @@ def test_extract_embed_is_bitwise_exact(kind, n, data):
     e = type(template)(s, **fields)
     e2 = extract(s, embed(e))
     for name in names:
-        got, want = getattr(e2, name), getattr(e, name)
-        if isinstance(want, complex):
-            # embed writes a complex scalar v as v * I, and v * (1 + 0j) may
-            # flip the sign of a zero part, so these compare by value
-            assert got == want
-        else:
-            assert bits(np.asarray(got)) == bits(np.asarray(want))
+        assert bits(np.asarray(getattr(e2, name))) == bits(np.asarray(getattr(e, name)))
+
+
+def _index_arithmetic_basis(s: SystemId) -> SparseBasis:
+    """Reference builder of the parameter basis by index arithmetic:
+    diagonal, row-major and mirrored entries of each slot's block."""
+    n, N = s.n, 2 * s.n
+    units = (1.0, 1j) if s.field is Field.COMPLEX else (1.0,)
+    idx = np.arange(n)
+    diagonal = idx * (N + 1)
+    entries = (idx[:, None] * N + idx).ravel()
+    mirrored = (idx[:, None] + idx * N).ravel()
+    slots = sorted(_LAYOUT[_ELEMENT_CLASS[s.kind]], key=lambda slot: slot.role is not Role.SCALAR)
+    par, pos, val = [], [], []
+    dim = 0
+    for _, (r, c), role in slots:
+        corner = r * n * N + c * n
+        for unit in units:
+            if role is Role.SCALAR:
+                k, p = np.full(n, dim), corner + diagonal
+                dim += 1
+            else:
+                k, p = dim + np.arange(n * n), corner + entries
+                dim += n * n
+            if role is Role.TIED:
+                k = np.repeat(k, 2)
+                p = np.stack([p, c * n * N + r * n + mirrored], axis=1).ravel()
+            par.append(k)
+            pos.append(p)
+            val.append(np.full(k.size, unit, dtype=s.field.dtype))
+    return SparseBasis(dim, N, np.concatenate(par), np.concatenate(pos), np.concatenate(val))
+
+
+@pytest.mark.parametrize("kind", list(SystemKind))
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 17])
+def test_basis_read_off_the_embedding_matches_index_arithmetic(kind, n):
+    s = SystemId(kind, n)
+    got, want = parameter_basis(s), _index_arithmetic_basis(s)
+    assert (got.dim, got.order) == (want.dim, want.order)
+    for name in ("par", "pos", "val"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        assert a.shape == b.shape and bits(a) == bits(b), name

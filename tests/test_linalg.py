@@ -9,7 +9,6 @@ from opsyscheck import (
     NonFiniteError,
     NotHermitianError,
     block2x2,
-    blocks2x2,
     char_poly_block_eval,
     hermitian_eigenvalues,
     hermiticity_defect,
@@ -107,11 +106,23 @@ def test_block_assembly_round_trip():
     rng = np.random.default_rng(2)
     A, B, C, D = (rng.normal(size=(3, 3)) for _ in range(4))
     M = block2x2(A, B, C, D)
-    A2, B2, C2, D2 = blocks2x2(M)
-    assert np.array_equal(A2, A)
-    assert np.array_equal(B2, B)
-    assert np.array_equal(C2, C)
-    assert np.array_equal(D2, D)
+    assert np.array_equal(M[:3, :3], A)
+    assert np.array_equal(M[:3, 3:], B)
+    assert np.array_equal(M[3:, :3], C)
+    assert np.array_equal(M[3:, 3:], D)
+
+
+@pytest.mark.parametrize("cplx", [False, True])
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_block_assembly_matches_np_block(cplx, n):
+    rng = np.random.default_rng(n)
+    blocks = [rng.normal(size=(n, n)) for _ in range(4)]
+    if cplx:
+        blocks = [X + 1j * rng.normal(size=(n, n)) for X in blocks]
+    M = block2x2(*blocks)
+    want = np.block([blocks[:2], blocks[2:]])
+    assert M.dtype == want.dtype
+    assert M.tobytes() == want.tobytes()
 
 
 def test_block_assembly_errors():
@@ -119,8 +130,6 @@ def test_block_assembly_errors():
         block2x2(np.eye(2), np.eye(3), np.eye(2), np.eye(2))
     with pytest.raises(FieldMismatchError):
         block2x2(np.eye(2), 1j * np.eye(2), np.eye(2), np.eye(2))
-    with pytest.raises(DimensionMismatchError):
-        blocks2x2(np.eye(3))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5])

@@ -224,9 +224,10 @@ def test_norm_estimate_is_bit_reproducible(kind, n):
     assert first.witness.tobytes() == second.witness.tobytes()
 
 
-def test_block_transpose_norm_reaches_two():
-    est = estimate_map_norm(MapId(MapKind.BLOCK_TRANSPOSE, 2), restarts=6, rng_seed=0)
-    assert est.lower_bound >= 2.0 - 1e-9
+@pytest.mark.parametrize("kind", [MapKind.BLOCK_TRANSPOSE, MapKind.CORNER_TRANSPOSE_FULL])
+def test_norm_search_needs_a_domain(kind):
+    with pytest.raises(ValueError, match="domain"):
+        estimate_map_norm(MapId(kind, 2), restarts=3, rng_seed=0)
 
 
 def _stack(rng, k, size, cplx):
