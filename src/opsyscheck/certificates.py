@@ -37,12 +37,15 @@ from .linalg import (
     matrix_unit,
 )
 from .maps import (
+    MapId,
+    MapKind,
+    _blockwise,
     block_transpose,
     corner_square_identities,
     corner_witness,
     quarter_transpose_witness_norm,
 )
-from .systems import SystemId, SystemKind, _embed_fields
+from .systems import SystemId, SystemKind, _block, _embed_fields
 
 
 class Outcome(enum.Enum):
@@ -109,119 +112,101 @@ def _paired_unit_certificate(n: int, i: int, j: int) -> np.ndarray:
     return block2x2(matrix_unit(n, i, i), matrix_unit(n, i, j), matrix_unit(n, j, i), np.eye(n))
 
 
-def _corner_forcing_steps(n: int, scale: float) -> list[Step]:
+def _subsystem_part(n: int, i: int, j: int) -> np.ndarray:
+    """[[0, E_ij], [E_ji, I]]: the part of the certificate [[E_ii, E_ij],
+    [E_ji, I]] that lies in the map's domain."""
+    return block2x2(np.zeros((n, n)), matrix_unit(n, i, j), matrix_unit(n, j, i), np.eye(n))
+
+
+def _forced_corner(m: MapId, S: np.ndarray) -> np.ndarray:
+    """The lower-left block of the map's image of S: the corner any
+    extension is forced to take on a certificate with subsystem part S."""
+    return _block(_blockwise(m.kind, S), m.n, (1, 0))
+
+
+def _corner_forcing_steps(m: MapId) -> tuple[list[Step], np.ndarray]:
     """Shared narrative core of the two corner-scaling certificates.
 
-    ``scale`` is the factor the map applies to the transposed off-diagonal
-    blocks (1/4 for the quarter transpose, 1 for the swap).  Verifies: the
-    certificates are PSD, they decompose as a PSD diagonal part plus a
-    subspace part with known image, and the Schur step turns each forced
-    corner X = scale E_ij into the lower bound X*X = scale^2 E_jj.
+    Verifies: the certificates are PSD, they decompose as a PSD diagonal
+    part plus a subspace part S whose image the map gives, and the Schur
+    step turns each forced corner X_ij (see ``_forced_corner``) into the
+    lower bound X_ij* X_ij on the upper-left value.  Returns the steps and
+    the summed bound sum_i X_i1* X_i1.
     """
-    steps: list[Step] = []
+    n = m.n
     r_psd = 0.0
     r_decomp = 0.0
     r_schur = 0.0
     I = np.eye(n)
+    bound = np.zeros((n, n))
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             Q = _paired_unit_certificate(n, i, j)
             r_psd = max(r_psd, abs(float(hermitian_eigenvalues(Q)[0])))
             D = block2x2(matrix_unit(n, i, i), np.zeros((n, n)), np.zeros((n, n)), np.zeros((n, n)))
-            S = block2x2(np.zeros((n, n)), matrix_unit(n, i, j), matrix_unit(n, j, i), I)
+            S = _subsystem_part(n, i, j)
             r_decomp = max(
                 r_decomp,
                 float(np.abs(Q - D - S).max()),
                 abs(min(float(hermitian_eigenvalues(D)[0]), 0.0)),
             )
-            X = scale * matrix_unit(n, i, j)
-            P = (scale ** 2) * matrix_unit(n, j, j)
-            r_schur = max(r_schur, float(np.abs(X.conj().T @ X - P).max()))
+            X = _forced_corner(m, S)
+            P = X.conj().T @ X
             rep = schur_implication(P, X, tol=MEMBERSHIP_TOL)
             r_schur = max(r_schur, abs(rep.block_min_eigenvalue), abs(rep.complement_min_eigenvalue))
-    steps.append(
-        Step(
-            "each certificate [[E_ii, E_ij], [E_ji, I]] is positive semidefinite",
-            r_psd,
-            EXACT_TOL,
-        )
-    )
-    steps.append(
+            if j == 1:
+                bound += P
+    sum_D = sum(matrix_unit(n, i, i) for i in range(1, n + 1))
+    steps = [
+        Step("each certificate [[E_ii, E_ij], [E_ji, I]] is positive semidefinite", r_psd, EXACT_TOL),
         Step(
             "certificate = PSD diagonal part + subspace part, so the extension's"
-            " value dominates the known image of the subspace part",
+            " value dominates the map's image of the subspace part",
             r_decomp,
             EXACT_TOL,
-        )
-    )
-    steps.append(
+        ),
         Step(
-            f"Schur step: forced corner {scale:g} E_ij forces upper-left >= {scale ** 2:g} E_jj",
+            "Schur step: each forced corner X_ij, the lower-left block of that"
+            " image, forces upper-left >= X_ij* X_ij",
             r_schur,
             MEMBERSHIP_TOL,
-        )
-    )
-    sum_D = sum(matrix_unit(n, i, i) for i in range(1, n + 1))
-    steps.append(
+        ),
         Step(
             "the diagonal parts resolve the upper-left identity, capped by I"
             " since the extension is unital and positive",
             float(np.abs(sum_D - I).max()),
             1e-15,
-        )
-    )
-    return steps
+        ),
+    ]
+    return steps, bound
 
 
-def _scaling_certificate(n: int, scale: float, threshold: int) -> Verdict:
+def _scaling_certificate(m: MapId) -> Verdict:
     """Common core: summing n forced lower bounds against the unital cap.
 
-    The forced bounds add to n scale^2 E_jj, which must sit below I; the
-    comparison n scale^2 > 1 is exact integer/rational arithmetic, giving a
-    contradiction precisely above ``threshold``.
+    The forced corners X_i1 add up to the bound F = sum_i X_i1* X_i1 on the
+    upper-left value, which must sit below I.  Each X_i1 is a matrix unit
+    times the map's factor s, so F = n s^2 E_11 with dyadic entries for
+    s = 1/4 or 1: the comparison against 1 is exact and gives a
+    contradiction precisely above the threshold 1 / s^2.
     """
-    steps = _corner_forcing_steps(n, scale)
-    forced = n * scale ** 2
-    steps.append(
-        Step(
-            f"summed forced bound {forced:g} E_11 compared against the cap I"
-            f" (exact comparison n * {scale ** 2:g} vs 1)",
-            0.0,
-            0.0,
-        )
-    )
+    n = m.n
+    steps, F = _corner_forcing_steps(m)
+    # the largest entry of a PSD matrix lies on its diagonal
+    forced = float(F.max())
+    # the largest n whose bound n s^2 stays within the cap: n / forced = 1 / s^2
+    threshold = int(n // forced)
+    steps.append(Step(f"summed forced bound sum_i X_i1* X_i1 = {forced:g} E_11 against the cap I", 0.0, 0.0))
     I = np.eye(n)
-    E11 = matrix_unit(n, 1, 1)
     if forced > 1.0:
         margin = forced - 1.0
-        gap = I - forced * E11
-        steps.append(
-            Step(
-                "eigencheck of the violated inequality I >= forced E_11",
-                abs(float(hermitian_eigenvalues(gap)[0]) + margin),
-                EXACT_TOL,
-            )
-        )
-        return Verdict(
-            outcome=Outcome.CONTRADICTION,
-            threshold_used=threshold,
-            witnesses=(("unital-cap", I), ("forced-lower-bound", forced * E11)),
-            narrative=tuple(steps),
-            margin=margin,
-        )
-    note = (
-        "forced bound stays below the cap; no obstruction at this size"
-        if forced < 1.0
-        else "forced bound exactly meets the cap; no obstruction at this size"
-    )
-    steps.append(Step(note, 0.0, 0.0))
-    return Verdict(
-        outcome=Outcome.INCONCLUSIVE,
-        threshold_used=threshold,
-        witnesses=(),
-        narrative=tuple(steps),
-        margin=None,
-    )
+        gap = abs(float(hermitian_eigenvalues(I - F)[0]) + margin)
+        steps.append(Step("eigencheck of the violated inequality I >= forced E_11", gap, EXACT_TOL))
+        witnesses = (("unital-cap", I), ("forced-lower-bound", F))
+        return Verdict(Outcome.CONTRADICTION, threshold, witnesses, tuple(steps), margin=margin)
+    meets = "stays below" if forced < 1.0 else "exactly meets"
+    steps.append(Step(f"forced bound {meets} the cap; no obstruction at this size", 0.0, 0.0))
+    return Verdict(Outcome.INCONCLUSIVE, threshold, (), tuple(steps))
 
 
 def certify_quarter_transpose(n: int) -> Verdict:
@@ -234,23 +219,19 @@ def certify_quarter_transpose(n: int) -> Verdict:
     (consistent with extendability at those sizes), for 5 <= n <= 16 it
     exceeds 1 without settling the extension question at this level.
     """
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    verdict = _scaling_certificate(n, 0.25, threshold=16)
+    m = MapId(MapKind.QUARTER_TRANSPOSE, n)
+    verdict = _scaling_certificate(m)
     if verdict.outcome is Outcome.INCONCLUSIVE:
         wn = quarter_transpose_witness_norm(n)
-        if n <= 4:
-            text = (
-                f"amplified witness norm n/4 = {n / 4:g} <= 1,"
-                " consistent with extendability at this size"
-            )
-        else:
-            text = (
-                f"amplified witness norm n/4 = {n / 4:g} exceeds 1, but this"
-                " certificate draws no conclusion below its threshold"
-            )
-        steps = verdict.narrative + (Step(text, abs(wn - n / 4.0), MEMBERSHIP_TOL),)
-        verdict = dataclasses.replace(verdict, narrative=steps)
+        # n times the factor s of the forced corners
+        ns = n * float(np.abs(_forced_corner(m, _subsystem_part(n, 1, 1))).max())
+        reading = (
+            "<= 1, consistent with extendability at this size"
+            if ns <= 1.0
+            else "exceeds 1, but this certificate draws no conclusion below its threshold"
+        )
+        step = Step(f"amplified witness norm n s = {ns:g} {reading}", abs(wn - ns), MEMBERSHIP_TOL)
+        verdict = dataclasses.replace(verdict, narrative=verdict.narrative + (step,))
     return verdict
 
 
@@ -274,13 +255,12 @@ def certify_offdiag_swap(n: int) -> Verdict:
     the cap I: contradiction for every n above 1.  At n = 1 the map is the
     identity and the identity of the algebra is an extension.
     """
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
+    m = MapId(MapKind.OFFDIAG_SWAP, n)
     if n == 1:
         return _identity_extension(
             "at n = 1 transposition is trivial, so the map is the identity", np.float64
         )
-    return _scaling_certificate(n, 1.0, threshold=1)
+    return _scaling_certificate(m)
 
 
 def squeeze_bounds(D) -> tuple[np.ndarray, np.ndarray]:
@@ -344,8 +324,7 @@ def certify_corner_transpose(n: int, rng_seed: int = 0) -> Verdict:
     the lower-right values.  The blockwise transpose then fails positivity
     on the rank-one corner witness, whose image has eigenvalue exactly -1.
     """
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
+    MapId(MapKind.CORNER_TRANSPOSE, n)  # raises ValueError unless n >= 1
     if n == 1:
         return _identity_extension(
             "at n = 1 the upper-left block is a scalar, so the map is the identity", np.complex128

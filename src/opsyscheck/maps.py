@@ -1,6 +1,7 @@
 """The six block-transpose maps and their numerical checks.
 
-Each map acts on 2x2 block matrices by transposing some blocks:
+Each map acts on 2x2 block matrices by transposing some blocks, as the
+table ``_RULES`` states:
 
 * quarter-transpose (token "phi"): both off-diagonal blocks are transposed
   and scaled by 1/4; domain scalar-diagonal.
@@ -48,7 +49,6 @@ from .linalg import (
     hermitian_part_eigenvalues,
     hermiticity_defect,
     is_psd,
-    matrix_unit,
     operator_norm,
     stack_chunks,
 )
@@ -59,6 +59,7 @@ from .systems import (
     SystemElement,
     SystemId,
     SystemKind,
+    _block,
     _draw_corner_tuple,
     _draw_fields,
     _draw_full,
@@ -128,23 +129,30 @@ def block_transpose(M) -> np.ndarray:
     return _blockwise(MapKind.BLOCK_TRANSPOSE, A)
 
 
+# The one statement of each map: the blocks of the 2x2 grid it transposes,
+# each with the real factor that scales the transposed block.  Every other
+# block passes through unchanged.
+_RULES: dict[MapKind, dict[tuple[int, int], float]] = {
+    MapKind.QUARTER_TRANSPOSE: {(0, 1): 0.25, (1, 0): 0.25},
+    MapKind.OFFDIAG_SWAP: {(0, 1): 1.0, (1, 0): 1.0},
+    MapKind.OFFDIAG_SWAP_COMPLEX: {(0, 1): 1.0, (1, 0): 1.0},
+    MapKind.CORNER_TRANSPOSE: {(0, 0): 1.0},
+    MapKind.BLOCK_TRANSPOSE: {(0, 0): 1.0, (0, 1): 1.0, (1, 0): 1.0, (1, 1): 1.0},
+    MapKind.CORNER_TRANSPOSE_FULL: {(0, 0): 1.0},
+}
+
+
 def _blockwise(kind: MapKind, M: np.ndarray) -> np.ndarray:
-    """The map's rule on a matrix, or on each matrix of a stack."""
+    """The map's rule on a matrix, or on each matrix of a stack.
+
+    A factor of 1 copies the transposed block as it is, so an unscaled
+    transpose moves every entry bit for bit.
+    """
     n = M.shape[-1] // 2
     out = M.copy()
-    if kind is MapKind.QUARTER_TRANSPOSE:
-        out[..., :n, n:] = M[..., :n, n:].swapaxes(-1, -2) / 4.0
-        out[..., n:, :n] = M[..., n:, :n].swapaxes(-1, -2) / 4.0
-    elif kind in (MapKind.OFFDIAG_SWAP, MapKind.OFFDIAG_SWAP_COMPLEX):
-        out[..., :n, n:] = M[..., :n, n:].swapaxes(-1, -2)
-        out[..., n:, :n] = M[..., n:, :n].swapaxes(-1, -2)
-    elif kind in (MapKind.CORNER_TRANSPOSE, MapKind.CORNER_TRANSPOSE_FULL):
-        out[..., :n, :n] = M[..., :n, :n].swapaxes(-1, -2)
-    else:
-        out[..., :n, :n] = M[..., :n, :n].swapaxes(-1, -2)
-        out[..., :n, n:] = M[..., :n, n:].swapaxes(-1, -2)
-        out[..., n:, :n] = M[..., n:, :n].swapaxes(-1, -2)
-        out[..., n:, n:] = M[..., n:, n:].swapaxes(-1, -2)
+    for block, factor in _RULES[kind].items():
+        X = _block(M, n, block).swapaxes(-1, -2)
+        _block(out, n, block)[...] = X if factor == 1.0 else factor * X
     return out
 
 
@@ -634,7 +642,9 @@ def corner_square_identities(A, c, d) -> float:
         blockT(M^2)    = the same with A and (A + d I) transposed
         (blockT(M))^2  = the same expression built from A^t
 
-    and returns the largest deviation across the three.
+    and returns the largest deviation across the three.  M is a free-corner
+    element, on which blockT is the corner transpose: the last display
+    squares that map's image of M.
     """
     A = as_square(np.asarray(A, dtype=np.complex128), "A")
     if hermiticity_defect(A) > EXACT_TOL:
@@ -653,8 +663,8 @@ def corner_square_identities(A, c, d) -> float:
 
     r1 = float(np.abs(M @ M - square_display(A, A @ A)).max())
     r2 = float(np.abs(block_transpose(M @ M) - square_display(A.T, (A @ A).T)).max())
-    BTM = block_transpose(M)
-    r3 = float(np.abs(BTM @ BTM - square_display(A.T, A.T @ A.T)).max())
+    GM = _blockwise(MapKind.CORNER_TRANSPOSE, M)
+    r3 = float(np.abs(GM @ GM - square_display(A.T, A.T @ A.T)).max())
     return max(r1, r2, r3)
 
 
@@ -709,14 +719,17 @@ def char_poly_swap_check(
 
 def quarter_transpose_witness_norm(n: int) -> float:
     """Norm of the amplified off-diagonal quarter transpose on its standard
-    entangled witness; equals n/4, crossing 1 strictly between n=4 and n=5."""
+    entangled witness; equals n/4, crossing 1 strictly between n=4 and n=5.
+
+    The witness sum_ij E_ij (x) E_ij has its ones at the rows and columns
+    k (n + 1), k < n; the map scales it by its off-diagonal factor.
+    """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     Y = np.zeros((n * n, n * n))
-    for i in range(n):
-        for j in range(n):
-            Y += np.kron(matrix_unit(n, i + 1, j + 1), matrix_unit(n, i + 1, j + 1))
-    return operator_norm(Y / 4.0)
+    ones = np.arange(n) * (n + 1)
+    Y[np.ix_(ones, ones)] = _RULES[MapKind.QUARTER_TRANSPOSE][(1, 0)]
+    return operator_norm(Y)
 
 
 def complex_swap_witness() -> tuple[np.ndarray, np.ndarray]:

@@ -68,6 +68,8 @@ class RunConfig:
         for n in self.n_values:
             if not (MIN_N <= n <= MAX_N):
                 raise ConfigError(f"n={n} outside [{MIN_N}, {MAX_N}]")
+        if len(set(self.n_values)) < len(self.n_values):
+            raise ConfigError(f"repeated block size in {list(self.n_values)}: claim ids would repeat")
         if self.trials < 1 or self.restarts < 1:
             raise ConfigError("trials and restarts must be positive")
         if self.field not in ("real", "complex", "both"):

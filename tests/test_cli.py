@@ -214,6 +214,16 @@ def test_main_exit_two_on_bad_config(capsys):
     assert "configuration error" in captured.err
 
 
+@pytest.mark.parametrize("sizes", ["2,2", "2..4,3"])
+def test_main_exit_two_on_repeated_size(sizes, capsys):
+    # a repeated size would emit the same claim id twice
+    rc = main(["certify", "--which", "phi", "--n", sizes])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "repeated block size" in captured.err
+    assert captured.out == ""
+
+
 def test_main_exit_one_on_failure(monkeypatch, capsys):
     failing = Report(
         config=(("command", "verify"),),

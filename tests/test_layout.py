@@ -28,10 +28,9 @@ CASES = [(kind, n) for kind in SystemKind for n in range(1, 7)]
 # every finite double, signed zeros and subnormals included
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
-PROPERTY = settings(max_examples=25, deadline=None)
 # finite doubles near the largest one must not overflow in embedding or
-# membership: any RuntimeWarning fails the property tests
-NO_RUNTIME_WARNING = pytest.mark.filterwarnings("error::RuntimeWarning")
+# membership: the test configuration turns any RuntimeWarning into an error
+PROPERTY = settings(max_examples=25, deadline=None)
 
 
 def bits(a) -> bytes:
@@ -48,7 +47,6 @@ def test_basis_dimension_matches_closed_form(kind, n):
 
 
 @pytest.mark.parametrize("kind, n", CASES)
-@NO_RUNTIME_WARNING
 @PROPERTY
 @given(data=st.data())
 def test_params_matrix_params_is_bitwise_exact(kind, n, data):
@@ -61,7 +59,6 @@ def test_params_matrix_params_is_bitwise_exact(kind, n, data):
 
 
 @pytest.mark.parametrize("kind, n", CASES)
-@NO_RUNTIME_WARNING
 @PROPERTY
 @given(data=st.data())
 def test_every_basis_combination_is_contained(kind, n, data):
@@ -75,7 +72,6 @@ def test_every_basis_combination_is_contained(kind, n, data):
 
 
 @pytest.mark.parametrize("kind, n", CASES)
-@NO_RUNTIME_WARNING
 @PROPERTY
 @given(data=st.data())
 def test_extract_embed_is_bitwise_exact(kind, n, data):

@@ -52,7 +52,6 @@ def test_hermitian_eigenvalues_rejects_non_hermitian():
     assert vals.shape == (2,)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
 def test_eigenchecks_reject_non_finite(bad):
     """NaN or inf reaches neither a defect, an eigenvalue nor a PSD verdict,
