@@ -204,62 +204,6 @@ def block2x2(A, B, C, D) -> np.ndarray:
     return M
 
 
-@dataclasses.dataclass(frozen=True)
-class SparseBasis:
-    """A stack of d matrices of order N, kept as their nonzero entries.
-
-    Matrix i holds ``val[k]`` at flat position ``pos[k]`` for every k with
-    ``par[k] == i``; entries run in order of ``par``, then of ``pos``.  The
-    parameter bases have O(n^2) nonzero entries, where the dense stack would
-    hold d N^2 = O(n^4).  ``matrix`` and ``params`` need unit entries (1, or
-    i over the complex field) with each part of a matrix entry set by at
-    most one basis matrix.
-    """
-
-    dim: int
-    order: int
-    par: np.ndarray
-    pos: np.ndarray
-    val: np.ndarray
-
-    def combine(self, x: np.ndarray) -> np.ndarray:
-        """sum_i x[b, i] B_i for each row b of x, as a (b, N, N) stack."""
-        b, size = x.shape[0], self.order * self.order
-        terms = x[:, self.par] * self.val
-        flat = (np.arange(b)[:, None] * size + self.pos).ravel()
-        out = np.bincount(flat, terms.real.ravel(), minlength=b * size)
-        if terms.dtype.kind == "c":
-            out = out + 1j * np.bincount(flat, terms.imag.ravel(), minlength=b * size)
-        return out.reshape(b, self.order, self.order)
-
-    def pair(self, G: np.ndarray) -> np.ndarray:
-        """Re sum_jk B_i[j, k] G[b, j, k] for each matrix G[b], as a (b, d) array."""
-        b = G.shape[0]
-        terms = (G.reshape(b, -1)[:, self.pos] * self.val).real
-        flat = (np.arange(b)[:, None] * self.dim + self.par).ravel()
-        return np.bincount(flat, terms.ravel(), minlength=b * self.dim).reshape(b, self.dim)
-
-    def matrix(self, x: np.ndarray) -> np.ndarray:
-        """sum_i x[i] B_i, with every part copied from its parameter (signed
-        zeros included) instead of summed."""
-        parts = np.zeros((self.order * self.order, 2))
-        parts[self.pos, self._imaginary()] = x[self.par]
-        if self.val.dtype.kind == "c":
-            return parts.view(np.complex128).reshape(self.order, self.order)
-        return parts[:, 0].reshape(self.order, self.order)
-
-    def params(self, M: np.ndarray) -> np.ndarray:
-        """The parameters of a matrix in the span, each read off the first
-        entry of its basis matrix."""
-        parts = np.stack([M.real.ravel(), M.imag.ravel()], axis=1)
-        first = np.r_[True, self.par[1:] != self.par[:-1]]
-        return parts[self.pos[first], self._imaginary()[first]]
-
-    def _imaginary(self) -> np.ndarray:
-        """1 for the entries that are i, 0 for those that are 1."""
-        return (self.val.imag != 0).astype(np.intp)
-
-
 def char_poly_block_eval(A, b, c, d, lam) -> complex:
     """Evaluate det(M*M - lam I) for M = [[A, bI], [cI, dI]].
 

@@ -39,7 +39,6 @@ from .linalg import (
     MEMBERSHIP_TOL,
     PSD_TOL,
     DimensionMismatchError,
-    SparseBasis,
     _adjoint,
     _require_finite,
     as_square,
@@ -70,7 +69,7 @@ from .systems import (
     _require_contained,
     contains,
     embed,
-    parameter_basis,
+    project,
 )
 
 
@@ -356,16 +355,19 @@ class NormEstimate:
     witness: np.ndarray
 
 
-def _structured_starts(m: MapId, basis: SparseBasis) -> list[np.ndarray]:
-    n = m.n
-    starts = [basis.params(np.eye(2 * n, dtype=m.field.dtype))]
+def _swap_witness(n: int) -> np.ndarray:
+    """The corner witness of the complex swap's norm proposition, padded to
+    block size n: [[I, C], [C^t, 0]] with C = E_11 + i E_21 (C = 1 at n = 1)."""
+    C = np.zeros((n, n), dtype=np.complex128)
+    C[:2, 0] = [1.0, 1.0j][:n]
+    return embed(PairedCornerElement(SystemId(SystemKind.TRANSPOSE_PAIRED_COMPLEX, n), 1.0, 0.0, C))
+
+
+def _structured_starts(m: MapId) -> list[np.ndarray]:
+    """The identity, and the known extremal point of the complex swap."""
+    starts = [np.eye(2 * m.n, dtype=m.field.dtype)]
     if m.kind is MapKind.OFFDIAG_SWAP_COMPLEX:
-        # the corner witness of the norm proposition, padded to size n
-        C = np.zeros((n, n), dtype=np.complex128)
-        C[0, 0] = 1.0
-        if n >= 2:
-            C[1, 0] = 1.0j
-        starts.append(basis.params(embed(PairedCornerElement(m.domain, 1.0, 0.0, C))))
+        starts.append(_swap_witness(m.n))
     return starts
 
 
@@ -373,7 +375,8 @@ def _schatten(Y: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
     """sigma_1, log ||Y||_p and its gradient G for each matrix of a stack.
 
     d log ||Y||_p = Re sum_jk dY[j, k] G[j, k] with G = sum_i c_i conj(u_i) v_i^t
-    over the singular triples (sigma_i, u_i, v_i), c_i = sigma_i^(p-1) / ||Y||_p^p.
+    over the singular triples (sigma_i, u_i, v_i), c_i = sigma_i^(p-1) / ||Y||_p^p,
+    so conj(G) is the gradient for the real inner product Re tr(A* B).
     As p grows the weights concentrate on the top pair, whose term is the
     derivative d sigma_1(Y) = Re u_1* dY v_1 (Lewis, Math. Oper. Res. 1996;
     Overton, SIAM J. Matrix Anal. Appl. 1988).
@@ -416,58 +419,57 @@ def estimate_map_norm(
 ) -> NormEstimate:
     """Multi-start gradient ascent for the operator norm of the map.
 
-    The norm is the largest ratio sigma_1(map(X)) / sigma_1(X) over a real
-    parameterization X = sum_i x_i B_i of the domain; a map on the full
-    algebra has none and raises ValueError.  At the extremal
-    points sigma_1(X) is often multiple (the complex swap's witness has a
-    double top singular value), where the ratio has a ridge that plain
-    gradient ascent zigzags on and stalls short of.  The ascent therefore
-    climbs log ||map(X)||_p - log ||X||_p with Schatten exponents p = 16,
-    16^2, ..., 16^5, which tend to the operator norm as p grows.  Its
-    gradient comes from one Hermitian eigensolve of the Gram matrices of X
-    and of map(X), pulled back through the map and the basis B_i (see
-    ``_schatten``).
+    The norm is the largest ratio sigma_1(map(X)) / sigma_1(X) over the
+    nonzero X of the domain; a map on the full algebra has none and raises
+    ValueError.  At the extremal points sigma_1(X) is often multiple (the
+    complex swap's witness has a double top singular value), where the
+    ratio has a ridge that plain gradient ascent zigzags on and stalls short
+    of.  The ascent therefore climbs log ||map(X)||_p - log ||X||_p with
+    Schatten exponents p = 16, 16^2, ..., 16^5, which tend to the operator
+    norm as p grows.  Its gradient comes from one Hermitian eigensolve of
+    the Gram matrices of X and of map(X), pulled back through the map and
+    projected onto the domain by ``systems.project`` (see ``_schatten``).
 
-    All starts ascend together as one stack, each on the unit sphere of
-    parameters: a step moves along the gradient projected onto the sphere
-    and renormalizes.  Each start keeps its own step length, doubled after
-    a step that raised the objective and cut by four after one that did not
-    (the start then stays where it was).  A start moves to the next exponent
-    after 30 steps, once its step length falls below 1e-6, or, checked
-    before each step, once its projected gradient has norm at most
-    sqrt(machine epsilon): no step could then raise the objective by more
-    than double precision resolves, so a flat stage (an isometry, a
-    plateau) costs no evaluation beyond the one that entered it.  A start
-    stops after the last exponent.  ``maxiter`` caps the number of rounds.
+    All starts ascend together as one (starts, 2n, 2n) stack of domain
+    matrices, each on the Frobenius unit sphere: a step moves along the
+    gradient with its radial part removed and renormalizes.  Each start
+    keeps its own step length, doubled after a step that raised the
+    objective and cut by four after one that did not (the start then stays
+    where it was).  A start moves to the next exponent after 30 steps, once
+    its step length falls below 1e-6, or, checked before each step, once
+    its projected gradient has norm at most sqrt(machine epsilon): no step
+    could then raise the objective by more than double precision resolves,
+    so a flat stage (an isometry, a plateau) costs no evaluation beyond the
+    one that entered it.  A start stops after the last exponent.
+    ``maxiter`` caps the number of rounds.
 
     Every evaluated ratio sigma_1(map(X)) / sigma_1(X) is tracked, so the
     returned lower bound is the best value seen anywhere, renormalized
     through the stored witness.  The first start is the identity; maps with
     a known extremal configuration get it as a second start; the remaining
-    starts are seeded Gaussian draws.
+    starts are seeded Gaussian matrices of the full algebra, projected onto
+    the domain.
     """
-    if m.domain is None:
+    dom = m.domain
+    if dom is None:
         raise ValueError(f"{m.kind.token} acts on the full algebra; the norm search needs a domain")
-    basis = parameter_basis(m.domain)
 
     # structured starts always run; random restarts fill the remaining budget
-    starts = _structured_starts(m, basis)
+    starts = _structured_starts(m)
     for k in range(len(starts), restarts):
-        rng = np.random.default_rng([rng_seed, k])
-        starts.append(rng.normal(size=basis.dim))
+        starts.append(project(dom, _draw_full(m.n, m.field, np.random.default_rng([rng_seed, k]))))
     x = np.array(starts)
-    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    x /= np.linalg.norm(x, axis=(1, 2), keepdims=True)
 
     def ascent(x: np.ndarray, stage: np.ndarray):
-        """Ratio, objective and sphere-projected gradient at each row of x."""
+        """Ratio, objective and sphere-projected gradient at each matrix of x."""
         p = _P_BASE ** (stage + 1.0)
-        X = basis.combine(x)
-        s, log_s, G = _schatten(X, p)
-        t, log_t, H = _schatten(_blockwise(m.kind, X), p)
+        s, log_s, G = _schatten(x, p)
+        t, log_t, H = _schatten(_blockwise(m.kind, x), p)
         # each map moves entries within their blocks and scales them by reals,
         # so it is its own adjoint under Re sum_jk X[j, k] Y[j, k]
-        g = basis.pair(_blockwise(m.kind, H)) - basis.pair(G)
-        g -= np.sum(g * x, axis=1, keepdims=True) * x
+        g = project(dom, np.conj(_blockwise(m.kind, H) - G))
+        g -= np.sum((x.conj() * g).real, axis=(1, 2))[:, None, None] * x
         return t / s, log_t - log_s, g
 
     stage = np.zeros(len(x), dtype=int)
@@ -480,11 +482,11 @@ def estimate_map_norm(
         if live.size == 0:
             break
         # a stationary start ends its stage before stepping, at no evaluation
-        flat = np.linalg.norm(g[live], axis=1) <= _STATIONARY
+        flat = np.linalg.norm(g[live], axis=(1, 2)) <= _STATIONARY
         done, live = live[flat], live[~flat]
         if live.size:
-            y = x[live] + step[live, None] * g[live]
-            y /= np.linalg.norm(y, axis=1, keepdims=True)
+            y = x[live] + step[live, None, None] * g[live]
+            y /= np.linalg.norm(y, axis=(1, 2), keepdims=True)
             ratio_y, f_y, g_y = ascent(y, stage[live])
             better = ratio_y > best[live]
             best[live[better]] = ratio_y[better]
@@ -506,7 +508,7 @@ def estimate_map_norm(
             taken[done] = 0
             _, f[done], g[done] = ascent(x[done], stage[done])
 
-    W = basis.matrix(best_x[int(np.argmax(best))])
+    W = best_x[int(np.argmax(best))]
     W = W / operator_norm(W)
     return NormEstimate(lower_bound=operator_norm(_blockwise(m.kind, W)), witness=W)
 
@@ -738,22 +740,5 @@ def complex_swap_witness() -> tuple[np.ndarray, np.ndarray]:
     Returns (M, N) with N the image of M: ||M|| = sqrt(3), ||N|| = 2, so the
     ratio attains 2/sqrt(3).
     """
-    M = np.array(
-        [
-            [1, 0, 1, 0],
-            [0, 1, 1j, 0],
-            [1, 1j, 0, 0],
-            [0, 0, 0, 0],
-        ],
-        dtype=np.complex128,
-    )
-    N = np.array(
-        [
-            [1, 0, 1, 1j],
-            [0, 1, 0, 0],
-            [1, 0, 0, 0],
-            [1j, 0, 0, 0],
-        ],
-        dtype=np.complex128,
-    )
-    return M, N
+    M = _swap_witness(2)
+    return M, apply(MapId(MapKind.OFFDIAG_SWAP_COMPLEX, 2), M)

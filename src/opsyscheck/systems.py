@@ -12,9 +12,9 @@ Five subspaces appear throughout the checks, named by the shape of their
 Every block is a scalar multiple of I, a free block, or the transpose of
 another block.  One table, ``_LAYOUT``, says which for each field of the
 typed element classes, and embedding, membership, extraction, seeded random
-sampling and the real parameter basis of the norm search all derive from
-it, the basis through the embedding.  All five shapes also carry a
-closed-form positivity criterion with a matching eigenvalue oracle.
+sampling and the orthogonal projection the norm search climbs through all
+derive from it.  All five shapes also carry a closed-form positivity
+criterion with a matching eigenvalue oracle.
 
 Every seeded draw of an element or of a 2n x 2n matrix lives here, one
 sampler per distribution: generic, positive and self-adjoint elements, the
@@ -39,7 +39,6 @@ from .linalg import (
     PSD_TOL,
     DimensionMismatchError,
     FieldMismatchError,
-    SparseBasis,
     as_square,
     as_squares,
     hermitian_part_eigenvalues,
@@ -196,7 +195,7 @@ class Slot(NamedTuple):
 
 # The one description of each subspace: every field of the element class, in
 # dataclass order.  Embedding, membership, extraction, draws and the
-# parameter basis all walk it.
+# projection all walk it.
 _LAYOUT: dict[type, tuple[Slot, ...]] = {
     ScalarDiagonalElement: (
         Slot("a", (0, 0), Role.SCALAR),
@@ -335,37 +334,39 @@ def extract(s: SystemId, M) -> SystemElement:
     return cls(s, **fields)
 
 
-def parameter_basis(s: SystemId) -> SparseBasis:
-    """The real basis the norm search moves the subspace's elements along.
+# half the largest double: a halved mean held within it doubles back finite
+_HALF_MAX = np.finfo(np.float64).max / 2.0
 
-    Scalar fields come first, in dataclass order, then block fields, each as
-    its real part then (over the complex field) its imaginary part: one
-    parameter per scalar, one per block entry, row-major.  The basis is read
-    off the embedding: the parameters are numbered from 1, each unit (1,
-    then i) embeds the numbers of its parameters as field values, and
-    basis matrix k holds that unit wherever number k + 1 lands.
+
+def project(s: SystemId, M) -> np.ndarray:
+    """Orthogonal projection of a 2n x 2n matrix, or of each matrix of a
+    stack, onto the subspace, for the real inner product Re tr(A* B).
+
+    A scalar field becomes the mean of its block's diagonal, a free block is
+    kept, and a tied block becomes the mean of itself and its mirror's
+    transpose; over the real field imaginary parts are dropped first.  A
+    matrix of the subspace is its own projection up to the roundoff of the
+    means, at most n + 1 units in the last place.
     """
+    A = as_squares(M)
+    if s.field is Field.REAL and A.dtype.kind == "c":
+        A = A.real
     n = s.n
-    units = (1.0, 1j) if s.field is Field.COMPLEX else (1.0,)
-    numbers = [{} for _ in units]
-    dim = 0
-    slots = sorted(_LAYOUT[_ELEMENT_CLASS[s.kind]], key=lambda slot: slot.role is not Role.SCALAR)
-    for name, _, role in slots:
-        size = 1 if role is Role.SCALAR else n * n
-        for fields in numbers:
-            value = np.arange(dim + 1.0, dim + size + 1.0)
-            fields[name] = value[0] if role is Role.SCALAR else value.reshape(n, n)
-            dim += size
-    par, pos, val = [], [], []
-    for unit, fields in zip(units, numbers):
-        M = _embed_fields(s, fields, ()).real.ravel()
-        p = np.flatnonzero(M)
-        par.append(M[p].astype(np.intp) - 1)
-        pos.append(p)
-        val.append(np.full(p.size, unit, dtype=s.field.dtype))
-    par, pos, val = (np.concatenate(x) for x in (par, pos, val))
-    order = np.lexsort((pos, par))
-    return SparseBasis(dim, 2 * n, par[order], pos[order], val[order])
+    # half the mean of each block's diagonal, over the 2x2 block grid; each
+    # term is scaled before the sum, so no finite input overflows
+    half = np.einsum("...rici,i->...rc", A.reshape(A.shape[:-2] + (2, n, 2, n)), np.full(n, 0.5 / n))
+    parts = half.view(np.float64)
+    np.clip(parts, -_HALF_MAX, _HALF_MAX, out=parts)
+    means = 2.0 * half
+    fields = {}
+    for name, block, role in _LAYOUT[_ELEMENT_CLASS[s.kind]]:
+        X = _block(A, n, block)
+        if role is Role.SCALAR:
+            X = means[..., block[0], block[1]]
+        elif role is Role.TIED:
+            X = X / 2.0 + _block(A, n, block[::-1]).swapaxes(-1, -2) / 2.0
+        fields[name] = X
+    return _embed_fields(s, fields, A.shape[:-2])
 
 
 def _draw_fields(s: SystemId, rng: np.random.Generator, scale: float, k: int) -> dict[str, np.ndarray]:

@@ -300,7 +300,7 @@ def test_isometries_cost_one_evaluation_per_stage(kind, n, monkeypatch):
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_random_starts_alone_reach_the_complex_swap_norm(n, monkeypatch):
-    monkeypatch.setattr(maps, "_structured_starts", lambda m, basis: [])
+    monkeypatch.setattr(maps, "_structured_starts", lambda m: [])
     est = estimate_map_norm(MapId(MapKind.OFFDIAG_SWAP_COMPLEX, n), restarts=50, rng_seed=0)
     assert abs(est.lower_bound - 2.0 / math.sqrt(3.0)) < 1e-6
 

@@ -45,6 +45,12 @@ MAP_MUTANTS = {
         dict(runner=suite.ks_claims, command="verify", target="ks", n_values=(2,), trials=100),
         "ks.psi-transpose.free-corner.n=2",
     ),
+    "upsilon-prime-identity": (
+        MapKind.OFFDIAG_SWAP_COMPLEX,
+        {},
+        dict(runner=suite.norm_claims, command="norm", target="upsilon-prime", n_values=(2,), restarts=10),
+        "norm.upsilon-prime.n=2.lower-bound",
+    ),
 }
 
 
