@@ -83,7 +83,17 @@ def test_golden_pair_frozen_values():
         ],
         dtype=np.complex128,
     )
+    expect_N = np.array(
+        [
+            [1, 0, 1, 1j],
+            [0, 1, 0, 0],
+            [1, 0, 0, 0],
+            [1j, 0, 0, 0],
+        ],
+        dtype=np.complex128,
+    )
     assert np.array_equal(M, expect_M)
+    assert np.array_equal(N, expect_N)
     eig_in = np.sort(np.linalg.eigvalsh(M.conj().T @ M))
     eig_out = np.sort(np.linalg.eigvalsh(N.conj().T @ N))
     assert np.abs(eig_in - np.array([0.0, 0.0, 3.0, 3.0])).max() < 1e-10
@@ -93,9 +103,20 @@ def test_golden_pair_frozen_values():
 
 
 def test_golden_pair_is_the_map_image():
+    """The rule table and layout send the paper's M to the paper's N, frozen by hand."""
+    expect_N = np.array(
+        [
+            [1, 0, 1, 1j],
+            [0, 1, 0, 0],
+            [1, 0, 0, 0],
+            [1j, 0, 0, 0],
+        ],
+        dtype=np.complex128,
+    )
     M, N = complex_swap_witness()
     out = apply(MapId(MapKind.OFFDIAG_SWAP_COMPLEX, 2), M)
-    assert np.array_equal(out, N)
+    assert np.array_equal(out, expect_N)
+    assert np.array_equal(N, expect_N)
 
 
 def test_apply_membership_gate():
