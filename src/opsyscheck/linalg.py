@@ -136,14 +136,16 @@ def hermitian_eigenvalues(M) -> np.ndarray:
 
 
 def singular_values(M) -> np.ndarray:
-    """Singular values in descending order."""
-    A = as_square(M)
-    return np.linalg.svd(A, compute_uv=False)
+    """Singular values in descending order, of one matrix or of each matrix
+    of a stack."""
+    return np.linalg.svd(as_squares(M), compute_uv=False)
 
 
-def operator_norm(M) -> float:
-    """Spectral norm, computed through the same SVD path as singular_values."""
-    return float(singular_values(M)[0])
+def operator_norm(M) -> float | np.ndarray:
+    """Spectral norm, computed through the same SVD path as singular_values:
+    a float for one matrix, an array over the leading axes of a stack."""
+    top = singular_values(M)[..., 0]
+    return float(top) if top.ndim == 0 else top
 
 
 @dataclasses.dataclass(frozen=True)
@@ -189,18 +191,18 @@ def matrix_unit(n: int, i: int, j: int) -> np.ndarray:
 
 
 def block2x2(A, B, C, D) -> np.ndarray:
-    """Assemble [[A, B], [C, D]] from four n x n blocks over one field."""
-    blocks = [as_square(X, f"block {name}") for X, name in ((A, "A"), (B, "B"), (C, "C"), (D, "D"))]
-    n = blocks[0].shape[0]
-    if any(X.shape[0] != n for X in blocks):
-        raise DimensionMismatchError(
-            "blocks must share one size, got " + str([X.shape[0] for X in blocks])
-        )
+    """Assemble [[A, B], [C, D]] from four n x n blocks over one field, or
+    each matrix of a stack from four stacks of blocks of one shape."""
+    blocks = [as_squares(X, f"block {name}") for X, name in ((A, "A"), (B, "B"), (C, "C"), (D, "D"))]
+    shape = blocks[0].shape
+    if any(X.shape != shape for X in blocks):
+        raise DimensionMismatchError("blocks must share one shape, got " + str([X.shape for X in blocks]))
     kinds = {X.dtype.kind for X in blocks}
     if len(kinds) != 1:
         raise FieldMismatchError("blocks mix real and complex entries")
-    M = np.zeros((2 * n, 2 * n), dtype=blocks[0].dtype)
-    M[:n, :n], M[:n, n:], M[n:, :n], M[n:, n:] = blocks
+    n = shape[-1]
+    M = np.zeros(shape[:-2] + (2 * n, 2 * n), dtype=blocks[0].dtype)
+    M[..., :n, :n], M[..., :n, n:], M[..., n:, :n], M[..., n:, n:] = blocks
     return M
 
 

@@ -66,8 +66,8 @@ from .systems import (
     _draw_psd_rank_one,
     _draw_psd_wishart,
     _embed_fields,
+    _modulus,
     _require_contained,
-    contains,
     embed,
     project,
 )
@@ -585,18 +585,25 @@ def swap_bound_domination(n: int, samples: int = 10_000, rng_seed: int = 0) -> f
 
 
 def _trace_average_diagonal(M: np.ndarray) -> np.ndarray:
-    """Conditional-expectation step: diagonal blocks averaged to (tr/n) I."""
-    n = M.shape[0] // 2
-    fields = {"a": np.trace(M[:n, :n]) / n, "d": np.trace(M[n:, n:]) / n, "B": M[:n, n:], "C": M[n:, :n]}
-    return _embed_fields(SystemId(SystemKind.SCALAR_DIAGONAL, n), fields, ())
+    """Conditional-expectation step: diagonal blocks averaged to (tr/n) I,
+    on a matrix or on each matrix of a stack."""
+    n = M.shape[-1] // 2
+    fields = {
+        "a": np.trace(_block(M, n, (0, 0)), axis1=-2, axis2=-1) / n,
+        "d": np.trace(_block(M, n, (1, 1)), axis1=-2, axis2=-1) / n,
+        "B": _block(M, n, (0, 1)),
+        "C": _block(M, n, (1, 0)),
+    }
+    return _embed_fields(SystemId(SystemKind.SCALAR_DIAGONAL, n), fields, M.shape[:-2])
 
 
 @dataclasses.dataclass(frozen=True)
 class SchwarzReport:
-    """Minimum eigenvalue of candidate(M^2) - map(M)^2 on a self-adjoint M."""
+    """Minimum eigenvalue of candidate(M^2) - map(M)^2 on a self-adjoint M,
+    or on each matrix of a stack."""
 
-    defect_min_eigenvalue: float
-    holds: bool
+    defect_min_eigenvalue: float | np.ndarray
+    holds: bool | np.ndarray
     candidate: str
 
 
@@ -610,32 +617,38 @@ def kadison_schwarz_check(m: MapId, x) -> SchwarzReport:
     form.  Full-algebra maps are their own candidate.  The defect matrix is
     candidate(M^2) - (map(M))^2; the inequality holds when its smallest
     eigenvalue is >= -IDENTITY_TOL.
+
+    ``x`` is an element, a matrix, or a stack of matrices; a stack gets the
+    defect and the verdict of each matrix as arrays, through one batched
+    eigensolve, and raises as a single call would if any matrix leaves the
+    domain or is not self-adjoint.
     """
-    M = embed(x) if isinstance(x, SystemElement) else as_square(x)
+    M = embed(x) if isinstance(x, SystemElement) else as_squares(x)
     dom = m.domain
-    if M.shape[0] != 2 * m.n:
+    if M.shape[-1] != 2 * m.n:
         raise DomainViolationError("matrix order does not match the map")
-    if dom is not None and not contains(dom, M):
-        raise DomainViolationError(f"matrix is not in {dom.kind.token}")
-    if hermiticity_defect(M) > 1e-8:
+    if dom is not None:
+        _require_contained(dom, M)
+    if np.any(hermiticity_defect(M) > 1e-8):
         raise PreconditionError("Schwarz check needs a self-adjoint input")
     Msq = M @ M
     if m.kind is MapKind.QUARTER_TRANSPOSE:
         evaluated = _blockwise(m.kind, _trace_average_diagonal(Msq))
         candidate = "trace-averaged-compression"
     elif dom is not None:
-        evaluated = block_transpose(Msq)
+        evaluated = _blockwise(MapKind.BLOCK_TRANSPOSE, Msq)
         candidate = "blockwise-transpose"
     else:
         evaluated = _blockwise(m.kind, Msq)
         candidate = "map-itself"
     FM = _blockwise(m.kind, M)
-    delta = evaluated - FM @ FM
-    dmin = float(hermitian_part_eigenvalues(delta)[0])
+    dmin = hermitian_part_eigenvalues(evaluated - FM @ FM)[..., 0]
+    if M.ndim == 2:
+        dmin = float(dmin)
     return SchwarzReport(defect_min_eigenvalue=dmin, holds=dmin >= -IDENTITY_TOL, candidate=candidate)
 
 
-def corner_square_identities(A, c, d) -> float:
+def corner_square_identities(A, c, d) -> float | np.ndarray:
     """Residual of the three block-square displays for M = [[A, cbar I], [c I, d I]].
 
     For self-adjoint A, real d and complex c, checks entrywise that
@@ -647,27 +660,41 @@ def corner_square_identities(A, c, d) -> float:
     and returns the largest deviation across the three.  M is a free-corner
     element, on which blockT is the corner transpose: the last display
     squares that map's image of M.
+
+    A, c and d may carry leading stack axes (A of shape (..., n, n)); the
+    residual then comes back per element as an array, and PreconditionError
+    is raised if any A is not self-adjoint.  One element gives a float.
     """
-    A = as_square(np.asarray(A, dtype=np.complex128), "A")
-    if hermiticity_defect(A) > EXACT_TOL:
+    A = as_squares(np.asarray(A, dtype=np.complex128), "A")
+    if np.any(hermiticity_defect(A) > EXACT_TOL):
         raise PreconditionError("A must be self-adjoint")
-    c = complex(c)
-    d = float(d)
-    n = A.shape[0]
+    c = np.asarray(c, dtype=np.complex128)
+    d = np.asarray(d, dtype=np.float64)
+    lead = np.broadcast_shapes(A.shape[:-2], c.shape, d.shape)
+    n = A.shape[-1]
+    s = SystemId(SystemKind.FREE_CORNER, n)
+    M = _embed_fields(s, {"A": A, "b": np.conj(c), "c": c, "d": d}, lead)
+    # the scalars as (..., 1, 1) factors of whole blocks
+    cb, db = c[..., None, None], d[..., None, None]
+    cb2 = _modulus(cb) ** 2
     I = np.eye(n, dtype=np.complex128)
-    M = _embed_fields(SystemId(SystemKind.FREE_CORNER, n), {"A": A, "b": np.conj(c), "c": c, "d": d}, ())
 
     def square_display(X: np.ndarray, X2: np.ndarray) -> np.ndarray:
         """The displayed square with X in the corner and X2 for its square."""
-        return block2x2(
-            X2 + abs(c) ** 2 * I, np.conj(c) * (X + d * I), c * (X + d * I), (abs(c) ** 2 + d * d) * I
-        )
+        corner = X + db * I
+        return block2x2(X2 + cb2 * I, np.conj(cb) * corner, cb * corner, (cb2 + db * db) * I)
 
-    r1 = float(np.abs(M @ M - square_display(A, A @ A)).max())
-    r2 = float(np.abs(block_transpose(M @ M) - square_display(A.T, (A @ A).T)).max())
+    At = A.swapaxes(-1, -2)
+    Msq = M @ M
     GM = _blockwise(MapKind.CORNER_TRANSPOSE, M)
-    r3 = float(np.abs(GM @ GM - square_display(A.T, A.T @ A.T)).max())
-    return max(r1, r2, r3)
+    worst = np.maximum.reduce(
+        [
+            _deviations(Msq, square_display(A, A @ A)),
+            _deviations(_blockwise(MapKind.BLOCK_TRANSPOSE, Msq), square_display(At, (A @ A).swapaxes(-1, -2))),
+            _deviations(GM @ GM, square_display(At, At @ At)),
+        ]
+    )
+    return float(worst) if worst.ndim == 0 else worst
 
 
 def swap_bc_singular_check(n: int, trials: int = 1000, rng_seed: int = 0) -> float:
@@ -697,7 +724,9 @@ def char_poly_swap_check(
     For each instance, compares det(M*M - lam I) against det(N*N - lam I)
     directly, and the reduced n x n evaluation against the direct 2n x 2n
     determinant, at ``lambdas`` random complex points.  Returns the largest
-    relative deviation.
+    relative deviation.  The points of an instance are drawn at once, real
+    part before imaginary part of each as one draw per part would, and each
+    direct determinant is one batched ``det`` over them.
     """
     s = SystemId(SystemKind.FREE_CORNER, n)
     rng = np.random.default_rng(rng_seed)
@@ -707,15 +736,14 @@ def char_poly_swap_check(
         A, b, c, d = (x[0] for x in _draw_corner_tuple(n, rng, 1))
         M = _embed_fields(s, {"A": A, "b": b, "c": c, "d": d}, ())
         N = _embed_fields(s, {"A": A, "b": c, "c": b, "d": d}, ())
-        GM = M.conj().T @ M
-        GN = N.conj().T @ N
-        for _ in range(lambdas):
-            lam = complex(rng.normal(), rng.normal())
-            pM = complex(np.linalg.det(GM - lam * I2n))
-            pN = complex(np.linalg.det(GN - lam * I2n))
-            pR = char_poly_block_eval(A, b, c, d, lam)
-            scale = max(abs(pM), abs(pN), 1e-30)
-            worst = max(worst, abs(pM - pN) / scale, abs(pR - pM) / scale)
+        lam = rng.normal(size=(lambdas, 2)).view(np.complex128)[:, 0]
+        shifts = lam[:, None, None] * I2n
+        pM = np.linalg.det(M.conj().T @ M - shifts)
+        pN = np.linalg.det(N.conj().T @ N - shifts)
+        pR = np.array([char_poly_block_eval(A, b, c, d, z) for z in lam.tolist()])
+        scale = np.maximum(np.maximum(_modulus(pM), _modulus(pN)), 1e-30)
+        deviation = np.maximum(_modulus(pM - pN), _modulus(pR - pM)) / scale
+        worst = max(worst, float(np.max(deviation, initial=0.0)))
     return worst
 
 

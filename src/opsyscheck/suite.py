@@ -24,7 +24,7 @@ from .linalg import (
     hermitian_eigenvalues,
     is_psd,
     operator_norm,
-    stack_size,
+    stack_chunks,
 )
 from .maps import MapId, MapKind
 from .report import Claim, MatrixPayload, Report, STATUS_FAIL, STATUS_PASS
@@ -91,23 +91,13 @@ def _pass_fail(ok: bool) -> str:
     return STATUS_PASS if ok else STATUS_FAIL
 
 
-def _oracle_disagreements(crits: list[bool], matrices: list[np.ndarray]) -> int:
-    """How many criterion verdicts the eigenvalue oracle contradicts, through
-    one stacked PSD check; the lists are emptied."""
-    if not matrices:
-        return 0
-    oracle = is_psd(np.stack(matrices)).is_psd
-    disagreements = int(np.count_nonzero(oracle != np.array(crits)))
-    crits.clear()
-    matrices.clear()
-    return disagreements
-
-
 def lemma_claims(cfg: RunConfig) -> list[Claim]:
     """Criterion-versus-oracle agreement over margin-filtered seeded draws.
 
-    The criterion runs per draw; the oracle runs on the kept draws' matrices
-    in stacks of at most 2^15 entries.
+    Draws alternate generic and positive elements, one draw at a time.  The
+    margin, the criterion and the eigenvalue oracle then run per stack of
+    at most 2^15 matrix entries, on the generic draws embedded together and
+    the positive draws' own matrices.
     """
     claims: list[Claim] = []
     for kidx, kind in enumerate(LEMMA_KINDS):
@@ -118,21 +108,27 @@ def lemma_claims(cfg: RunConfig) -> list[Claim]:
             rng = np.random.default_rng(_seed(cfg, 1, kidx, n))
             disagreements = 0
             checked = 0
-            crits: list[bool] = []
-            matrices: list[np.ndarray] = []
-            for t in range(cfg.trials):
-                if t % 2 == 0:
-                    e, M = systems._draw_element(s, rng, 1.0), None
-                else:
-                    e, M = systems._draw_positive_embedded(s, rng)
-                if systems.boundary_margin(e) <= MARGIN:
-                    continue
-                checked += 1
-                crits.append(systems.is_positive_by_criterion(e))
-                matrices.append(systems.embed(e) if M is None else M)
-                if len(matrices) == stack_size(2 * n):
-                    disagreements += _oracle_disagreements(crits, matrices)
-            disagreements += _oracle_disagreements(crits, matrices)
+            for start, k in stack_chunks(cfg.trials, 2 * n):
+                generic = np.arange(start, start + k) % 2 == 0
+                elements, positives = [], []
+                for is_generic in generic:
+                    if is_generic:
+                        elements.append(systems._draw_element(s, rng, 1.0))
+                    else:
+                        e, M = systems._draw_positive_embedded(s, rng)
+                        elements.append(e)
+                        positives.append(M)
+                fields = systems._stack_elements(elements)
+                matrices = np.empty((k, 2 * n, 2 * n), dtype=kind.field.dtype)
+                matrices[generic] = systems._embed_fields(
+                    s, {name: value[generic] for name, value in fields.items()}, (np.count_nonzero(generic),)
+                )
+                if positives:
+                    matrices[~generic] = positives
+                kept = systems._margin_fields(s, fields) > MARGIN
+                checked += int(np.count_nonzero(kept))
+                criterion = systems._criterion_fields(s, {name: value[kept] for name, value in fields.items()})
+                disagreements += int(np.count_nonzero(is_psd(matrices[kept]).is_psd != criterion))
             claims.append(
                 Claim(
                     id=f"lemma.{kind.token}.n={n}.agreement",
@@ -231,19 +227,26 @@ def swapbc_claims(cfg: RunConfig) -> list[Claim]:
 
 
 def ks_claims(cfg: RunConfig) -> list[Claim]:
-    """Schwarz-inequality behavior of the forced extension candidates."""
+    """Schwarz-inequality behavior of the forced extension candidates.
+
+    Self-adjoint elements are drawn one at a time; the block-square displays
+    and the Schwarz defects are then checked per stack of at most 2^15
+    matrix entries.
+    """
     claims: list[Claim] = []
     for n in cfg.n_values:
         corner_sys = SystemId(SystemKind.FREE_CORNER, n)
         corner_map = MapId(MapKind.CORNER_TRANSPOSE, n)
         rng = np.random.default_rng(_seed(cfg, 6, n))
         worst = 0.0
-        for _ in range(min(cfg.trials, 50)):
-            f = systems._draw_selfadjoint(corner_sys, rng)
-            worst = max(worst, maps.corner_square_identities(f.A, f.c, f.d.real))
-            e = systems._draw_selfadjoint(corner_sys, rng)
-            ks = maps.kadison_schwarz_check(corner_map, e)
-            worst = max(worst, abs(ks.defect_min_eigenvalue))
+        for _, k in stack_chunks(min(cfg.trials, 50), 2 * n):
+            # each trial draws the display's element f, then the Schwarz input e
+            drawn = [systems._draw_selfadjoint(corner_sys, rng) for _ in range(2 * k)]
+            f = systems._stack_elements(drawn[0::2])
+            e = systems._stack_elements(drawn[1::2])
+            worst = max(worst, float(np.max(maps.corner_square_identities(f["A"], f["c"], f["d"].real))))
+            ks = maps.kadison_schwarz_check(corner_map, systems._embed_fields(corner_sys, e, (k,)))
+            worst = max(worst, float(np.max(np.abs(ks.defect_min_eigenvalue))))
         claims.append(
             Claim(
                 id=f"ks.psi-transpose.free-corner.n={n}",
@@ -260,16 +263,19 @@ def ks_claims(cfg: RunConfig) -> list[Claim]:
         sd_map = MapId(MapKind.QUARTER_TRANSPOSE, n)
         rng = np.random.default_rng(_seed(cfg, 7, n))
         worst_defect = math.inf
-        for t in range(min(cfg.trials, 100)):
-            if t == 0 and n >= 2:
-                # structured probe: meets the threshold exactly where it breaks
-                B = np.zeros((n, n), dtype=np.complex128)
-                B[0, 1] = 1.0
-                e = systems.ScalarDiagonalElement(sd_sys, 0.5, 0.5, B, B.conj().T)
-            else:
-                e = systems._draw_selfadjoint(sd_sys, rng)
-            ks = maps.kadison_schwarz_check(sd_map, e)
-            worst_defect = min(worst_defect, ks.defect_min_eigenvalue)
+        for start, k in stack_chunks(min(cfg.trials, 100), 2 * n):
+            inputs = []
+            for t in range(start, start + k):
+                if t == 0 and n >= 2:
+                    # structured probe: meets the threshold exactly where it breaks
+                    B = np.zeros((n, n), dtype=np.complex128)
+                    B[0, 1] = 1.0
+                    inputs.append(systems.ScalarDiagonalElement(sd_sys, 0.5, 0.5, B, B.conj().T))
+                else:
+                    inputs.append(systems._draw_selfadjoint(sd_sys, rng))
+            fields = systems._stack_elements(inputs)
+            ks = maps.kadison_schwarz_check(sd_map, systems._embed_fields(sd_sys, fields, (k,)))
+            worst_defect = min(worst_defect, float(np.min(ks.defect_min_eigenvalue)))
         if n <= 16:
             claims.append(
                 Claim(

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import itertools
 import math
 from typing import NamedTuple
@@ -39,9 +40,9 @@ from .linalg import (
     PSD_TOL,
     DimensionMismatchError,
     FieldMismatchError,
+    _eigvalsh_hermitian_part,
     as_square,
     as_squares,
-    hermitian_part_eigenvalues,
     hermiticity_defect,
     is_psd,
     operator_norm,
@@ -276,15 +277,40 @@ def _embed_fields(s: SystemId, fields, lead: tuple[int, ...]) -> np.ndarray:
 
 
 def _largest(X: np.ndarray):
-    """Largest entry of each matrix of a stack (a scalar for one matrix)."""
-    return X.max(axis=(-2, -1))
+    """Largest entry of each matrix of a stack, or a float for one matrix."""
+    return X.max(axis=(-2, -1)) if X.ndim > 2 else float(X.max())
+
+
+@functools.lru_cache(maxsize=None)
+def _membership_entries(kind: SystemKind, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat indices into a 2n x 2n matrix of what membership compares:
+    the entries that must vanish (off the diagonal of each scalar block),
+    and pairs (lhs, rhs) that must agree (each diagonal entry of a scalar
+    block with the block's first one, each entry of a tied block's mirror
+    with the transposed entry of the tied block)."""
+    index = np.arange(4 * n * n).reshape(2 * n, 2 * n)
+    diagonal = np.arange(n)
+    off_diagonal = ~np.eye(n, dtype=bool)
+    zero, lhs, rhs = [], [], []
+    for _, block, role in _LAYOUT[_ELEMENT_CLASS[kind]]:
+        X = _block(index, n, block)
+        if role is Role.SCALAR:
+            zero.append(X[off_diagonal])
+            lhs.append(X[diagonal, diagonal])
+            rhs.append(np.full(n, X[0, 0]))
+        elif role is Role.TIED:
+            lhs.append(_block(index, n, block[::-1]).ravel())
+            rhs.append(X.T.ravel())
+    return np.concatenate(zero), np.concatenate(lhs), np.concatenate(rhs)
 
 
 def contains(s: SystemId, M) -> bool | np.ndarray:
     """Whether a matrix lies in the subspace, entrywise within MEMBERSHIP_TOL.
 
     A stack of matrices gets one verdict per matrix, as a bool array over
-    the leading axes.
+    the leading axes.  The entries each comparison reads are gathered by
+    flat index, so every row is decided by reductions over contiguous
+    gathers, with no copy of a block.
     """
     A = as_squares(M)
     lead = A.shape[:-2]
@@ -292,19 +318,13 @@ def contains(s: SystemId, M) -> bool | np.ndarray:
         return np.zeros(lead, dtype=bool) if lead else False
     ok = np.True_
     if s.field is Field.REAL and A.dtype.kind == "c":
-        ok = ~(_largest(np.abs(A.imag)) > MEMBERSHIP_TOL)
+        ok = np.logical_not(_largest(np.abs(A.imag)) > MEMBERSHIP_TOL)
         A = A.real
-    n = s.n
-    diagonal = np.arange(n)
-    for _, block, role in _LAYOUT[_ELEMENT_CLASS[s.kind]]:
-        X = _block(A, n, block)
-        if role is Role.SCALAR:
-            X = X.copy()
-            X[..., diagonal, diagonal] -= X[..., :1, 0]
-            ok = ok & (_largest(np.abs(X)) <= MEMBERSHIP_TOL)
-        elif role is Role.TIED:
-            mirrored = _block(A, n, block[::-1])
-            ok = ok & (_largest(np.abs(mirrored - X.swapaxes(-1, -2))) <= MEMBERSHIP_TOL)
+    zero, lhs, rhs = _membership_entries(s.kind, s.n)
+    flat = A.reshape(lead + (-1,))
+    ok = ok & (np.abs(flat[..., lhs] - flat[..., rhs]).max(axis=-1) <= MEMBERSHIP_TOL)
+    if zero.size:
+        ok = ok & (np.abs(flat[..., zero]).max(axis=-1) <= MEMBERSHIP_TOL)
     return ok if lead else bool(ok)
 
 
@@ -543,81 +563,142 @@ def _draw_psd_wishart(
     return G @ G.conj().swapaxes(-1, -2)
 
 
-def _scalar_corners(
-    e: ScalarDiagonalElement | PairedCornerElement,
-) -> tuple[complex, complex, np.ndarray, float]:
-    """(a, b, K, defect) of an element [[a I, K], [L, b I]]: the corner K as
-    the criterion measures it, and how far L is from K* entrywise."""
-    if isinstance(e, ScalarDiagonalElement):
-        return complex(e.a), complex(e.d), e.B, float(np.abs(e.C - e.B.conj().T).max())
-    if np.iscomplexobj(e.C):
+def _stack_elements(elements) -> dict[str, np.ndarray]:
+    """Field values of elements of one system as a stack, row j holding
+    element j: the inverse of ``_element_at``.  Each value is copied bit
+    for bit."""
+    return {name: np.array([getattr(e, name) for e in elements]) for name, _, _ in _LAYOUT[type(elements[0])]}
+
+
+# One implementation of the criterion and the margin serves a stack of field
+# values and one element's plain numbers alike.  The helpers below dispatch
+# on the kind of value, since a ufunc call, or arithmetic on numpy scalars,
+# costs more than all of one element's Python arithmetic.
+def _where(condition, x, y):
+    """np.where over a stack; the plain branch for one element."""
+    if isinstance(condition, np.ndarray):
+        return np.where(condition, x, y)
+    return x if condition else y
+
+
+def _every(condition) -> bool:
+    """Whether the condition holds on every row of a stack, or on the one element."""
+    return bool(condition.all()) if isinstance(condition, np.ndarray) else bool(condition)
+
+
+def _any(condition) -> bool:
+    """Whether the condition holds on some row of a stack, or on the one element."""
+    return bool(condition.any()) if isinstance(condition, np.ndarray) else bool(condition)
+
+
+def _corner_spectrum(A) -> tuple:
+    """(||A - A*||_max, lambda_min of the Hermitian part) of each matrix of a
+    stack, or two floats for one matrix.  NaN or infinite entries raise
+    NonFiniteError from the defect, which checks them once for both."""
+    defect = hermiticity_defect(A)
+    lam_min = _eigvalsh_hermitian_part(A)[..., 0]
+    return defect, (lam_min if lam_min.ndim else float(lam_min))
+
+
+def _modulus(z):
+    """|z| through hypot, as Python's abs takes it of one complex number:
+    numpy's complex absolute may differ from it in the last bit."""
+    return np.hypot(z.real, z.imag) if isinstance(z, np.ndarray) else abs(z)
+
+
+def _corner_terms(s: SystemId, fields) -> tuple:
+    """(a, b, K, defect) of scalar-cornered fields [[a I, K], [L, b I]], per
+    row of a stack: the corner K as the criterion measures it, and how far L
+    is from K* entrywise."""
+    a, C = fields["a"], fields["C"]
+    if s.kind is SystemKind.SCALAR_DIAGONAL:
+        B = fields["B"]
+        return a, fields["d"], B, _largest(np.abs(C - B.conj().swapaxes(-1, -2)))
+    if s.field is Field.COMPLEX:
         # L = C^t, which is C* exactly when C is real
-        return complex(e.a), complex(e.b), e.C.real, float(np.abs(e.C.imag).max())
-    return complex(e.a), complex(e.b), e.C, 0.0
+        return a, fields["b"], C.real, _largest(np.abs(C.imag))
+    return a, fields["b"], C, 0.0
 
 
-def is_positive_by_criterion(e: SystemElement, tol: float = PSD_TOL) -> bool:
-    """Closed-form positivity test for every system.
+def _criterion_fields(s: SystemId, fields, tol: float = PSD_TOL):
+    """The closed-form positivity criterion on field values: a bool per row
+    of a stack (scalar fields of shape (k,), block fields (k, n, n)), or one
+    bool for one element's plain numbers and n x n blocks.  One batched SVD
+    gives ||K||, or one batched eigensolve lambda_min(A), for the whole
+    stack; it is skipped when the scalar checks refuse every row.
 
     Scalar-diagonal and paired shapes, [[a I, K], [L, b I]]: a and b real
     and nonneg, L = K*, and ||K|| <= sqrt(ab); when ab <= tol^2 the corner
     must vanish (||K|| <= tol).  Free-corner shape: A PSD, d >= 0,
     c = conj(b), and d A >= |b|^2 I; when d <= tol this degenerates to
-    |b| <= tol with A PSD.  Self-adjointness is required within tol.
+    |b| <= tol with A PSD.  Self-adjointness is required within tol; NaN or
+    infinite entries of A raise NonFiniteError unless the scalars already
+    refuse every row.
     """
-    if not isinstance(e, FreeCornerElement):
-        a, b, K, defect = _scalar_corners(e)
-        if abs(a.imag) > tol or abs(b.imag) > tol or defect > tol:
-            return False
+    if s.kind not in CORNER_KINDS:
+        a, b, K, defect = _corner_terms(s, fields)
         ar, br = a.real, b.real
-        if ar < -tol or br < -tol:
-            return False
-        norm_k = operator_norm(K)
-        ab = max(ar, 0.0) * max(br, 0.0)
-        if ab <= tol * tol:
-            return norm_k <= tol
-        return norm_k <= math.sqrt(ab) + tol
-    # free-corner shape
-    A, b, c, d = e.A, complex(e.b), complex(e.c), complex(e.d)
-    if abs(c - np.conj(b)) > tol:
-        return False
-    if hermiticity_defect(A) > tol:
-        return False
-    if abs(d.imag) > tol:
-        return False
+        refused = (abs(a.imag) > tol) | (abs(b.imag) > tol) | (defect > tol) | (ar < -tol) | (br < -tol)
+        if _every(refused):  # False on every row, with no SVD
+            return _where(refused, False, True)
+        # negative parts count as 0 (a NaN stays NaN)
+        ab = _where(ar < 0.0, 0.0, ar) * _where(br < 0.0, 0.0, br)
+        bound = _where(ab <= tol * tol, 0.0, np.sqrt(ab)) + tol
+        return _where(refused, False, operator_norm(K) <= bound)
+    A, b, d = fields["A"], fields["b"], fields["d"]
     dr = d.real
-    if dr < -tol:
-        return False
-    lam_min = float(hermitian_part_eigenvalues(A)[0])
-    if lam_min < -tol:
-        return False
-    if dr <= tol:
-        return abs(b) <= tol
-    return dr * lam_min >= abs(b) ** 2 - tol
+    refused = (_modulus(fields["c"] - b.conjugate()) > tol) | (abs(d.imag) > tol) | (dr < -tol)
+    if _every(refused):  # False on every row, with no eigensolve
+        return _where(refused, False, True)
+    defect, lam_min = _corner_spectrum(A)
+    holds = _where(dr <= tol, _modulus(b) <= tol, dr * lam_min >= _modulus(b) ** 2 - tol)
+    return _where(refused | (defect > tol) | (lam_min < -tol), False, holds)
+
+
+def _margin_fields(s: SystemId, fields):
+    """Distance of field values from the decision boundaries of the
+    criterion: a float per row of a stack, or one for one element's plain
+    numbers, with at most one batched SVD or eigensolve per stack.
+
+    Hermiticity defects contribute only when above EXACT_TOL (an exactly
+    self-adjoint element is not near the self-adjointness boundary).
+    """
+    if s.kind not in CORNER_KINDS:
+        a, b, K, defect = _corner_terms(s, fields)
+        ar, br = a.real, b.real
+        # the corner's boundary counts where both scalars are positive
+        both = (ar > 0) & (br > 0)
+        gap = math.inf
+        if _any(both):
+            root = np.sqrt(_where(both, ar * br, 0.0))
+            gap = _where(both, abs(root - operator_norm(K)), math.inf)
+        parts = (abs(ar), abs(br), gap)
+        defects = (abs(a.imag), abs(b.imag), defect)
+    else:
+        A, b, d = fields["A"], fields["b"], fields["d"]
+        dr = d.real
+        defect, lam_min = _corner_spectrum(A)
+        defects = (_modulus(fields["c"] - b.conjugate()), defect, abs(d.imag))
+        gap = _where((dr > 0) & (lam_min > 0), abs(dr * lam_min - _modulus(b) ** 2), math.inf)
+        parts = (abs(lam_min), abs(dr), gap)
+    values = parts + tuple(_where(v > EXACT_TOL, v, math.inf) for v in defects)
+    if isinstance(values[0], np.ndarray):
+        return np.minimum.reduce(np.broadcast_arrays(*values))
+    return min(values)
+
+
+def is_positive_by_criterion(e: SystemElement, tol: float = PSD_TOL) -> bool:
+    """Closed-form positivity test for every system: the one-element case of
+    ``_criterion_fields``, which states the criterion."""
+    return bool(_criterion_fields(e.system, vars(e), tol))
 
 
 def boundary_margin(e: SystemElement) -> float:
-    """Distance of an element from the decision boundaries of the criterion.
+    """Distance of an element from the decision boundaries of the criterion:
+    the one-element case of ``_margin_fields``.
 
     Used to filter random draws before comparing the criterion against the
     eigenvalue oracle: both can legitimately flip within a tolerance of the
-    boundary.  Hermiticity defects contribute only when nonzero (an exactly
-    self-adjoint element is not near the self-adjointness boundary).
+    boundary.
     """
-    def herm_margin(vals):
-        live = [v for v in vals if v > EXACT_TOL]
-        return min(live) if live else math.inf
-
-    if not isinstance(e, FreeCornerElement):
-        a, b, K, defect = _scalar_corners(e)
-        parts = [abs(a.real), abs(b.real)]
-        if a.real > 0 and b.real > 0:
-            parts.append(abs(math.sqrt(a.real * b.real) - operator_norm(K)))
-        return min(min(parts), herm_margin([abs(a.imag), abs(b.imag), defect]))
-    A, b, c, d = e.A, complex(e.b), complex(e.c), complex(e.d)
-    hm = herm_margin([abs(c - np.conj(b)), hermiticity_defect(A), abs(d.imag)])
-    lam_min = float(hermitian_part_eigenvalues(A)[0])
-    parts = [abs(lam_min), abs(d.real)]
-    if d.real > 0 and lam_min > 0:
-        parts.append(abs(d.real * lam_min - abs(b) ** 2))
-    return min(min(parts), hm)
+    return float(_margin_fields(e.system, vars(e)))

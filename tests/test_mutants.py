@@ -7,10 +7,11 @@ package switches it on.  Each configuration also runs unmutated, where the
 same claims pass, so every failure is the mutant's doing.
 """
 
+import numpy as np
 import pytest
 
 from opsyscheck import certificates, maps, suite, systems
-from opsyscheck.linalg import PSD_TOL, operator_norm
+from opsyscheck.linalg import PSD_TOL
 from opsyscheck.maps import MapKind
 from opsyscheck.suite import RunConfig
 
@@ -63,18 +64,18 @@ def test_map_rule_mutant_fails_its_family(name, mutated, monkeypatch):
     assert statuses(**run)[claim_id] == ("fail" if mutated else "pass")
 
 
-_CRITERION = systems.is_positive_by_criterion
+_CRITERION = systems._criterion_fields
 
 
-def _mean_criterion(e, tol: float = PSD_TOL) -> bool:
-    """The criterion with ||K|| <= (a + b)/2 in place of ||K|| <= sqrt(ab)
-    on the scalar-diagonal and paired shapes."""
-    if isinstance(e, systems.FreeCornerElement):
-        return _CRITERION(e, tol)
-    a, b, K, defect = systems._scalar_corners(e)
-    if max(abs(a.imag), abs(b.imag), defect) > tol or min(a.real, b.real) < -tol:
-        return False
-    return operator_norm(K) <= (a.real + b.real) / 2.0 + tol
+def _mean_criterion(s, fields, tol: float = PSD_TOL):
+    """The stacked criterion with ||K|| <= (a + b)/2 in place of
+    ||K|| <= sqrt(ab) on the scalar-diagonal and paired shapes."""
+    if s.kind in systems.CORNER_KINDS:
+        return _CRITERION(s, fields, tol)
+    a, b, K, defect = systems._corner_terms(s, fields)
+    imaginary = np.maximum(np.maximum(np.abs(a.imag), np.abs(b.imag)), defect)
+    refused = (imaginary > tol) | (np.minimum(a.real, b.real) < -tol)
+    return ~refused & (np.linalg.svd(K, compute_uv=False)[..., 0] <= (a.real + b.real) / 2.0 + tol)
 
 
 @pytest.mark.parametrize("mutated", [False, True], ids=["original", "mutant"])
@@ -82,7 +83,7 @@ def test_lemma_mean_criterion_mutant_fails_its_family(mutated, monkeypatch):
     # at 100 trials this mutant survives: no kept draw tells the two
     # criteria apart
     if mutated:
-        monkeypatch.setattr(systems, "is_positive_by_criterion", _mean_criterion)
+        monkeypatch.setattr(systems, "_criterion_fields", _mean_criterion)
     got = statuses(suite.lemma_claims, command="verify", target="lemma", n_values=(1,), trials=500, field="real")
     assert got["lemma.transpose-paired.n=1.agreement"] == ("fail" if mutated else "pass")
 
