@@ -414,9 +414,7 @@ _STATIONARY = math.sqrt(np.finfo(float).eps)
 _FIRST_STEP = 0.5
 
 
-def estimate_map_norm(
-    m: MapId, restarts: int = 50, rng_seed: int = 0, maxiter: int = 500
-) -> NormEstimate:
+def estimate_map_norm(m: MapId, restarts: int = 50, rng_seed: int = 0) -> NormEstimate:
     """Multi-start gradient ascent for the operator norm of the map.
 
     The norm is the largest ratio sigma_1(map(X)) / sigma_1(X) over the
@@ -440,8 +438,9 @@ def estimate_map_norm(
     its projected gradient has norm at most sqrt(machine epsilon): no step
     could then raise the objective by more than double precision resolves,
     so a flat stage (an isometry, a plateau) costs no evaluation beyond the
-    one that entered it.  A start stops after the last exponent.
-    ``maxiter`` caps the number of rounds.
+    one that entered it.  A start stops after the last exponent.  Each
+    round steps a start or ends its stage, so a start is live for at most
+    5 x 30 = 150 rounds, and the loop stops there.
 
     Every evaluated ratio sigma_1(map(X)) / sigma_1(X) is tracked, so the
     returned lower bound is the best value seen anywhere, renormalized
@@ -477,7 +476,7 @@ def estimate_map_norm(
     best, best_x = ratio.copy(), x.copy()
     step = np.full(len(x), _FIRST_STEP)
     taken = np.zeros(len(x), dtype=int)
-    for _ in range(maxiter):
+    for _ in range(_P_STAGES * _STAGE_STEPS):
         live = np.flatnonzero(step > 0.0)
         if live.size == 0:
             break

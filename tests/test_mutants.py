@@ -1,6 +1,6 @@
-"""Mutation checks: each mutant of a map's rule, or of the closed-form
-positivity criterion, or of the scaling certificates' summed bound, makes a
-claim of its own family fail.
+"""Mutation checks: each mutant of a map's rule, of the closed-form
+positivity criterion, of the scaling certificates' summed bound or of the
+squeeze bounds makes a claim of its own family fail.
 
 A mutant is installed with ``monkeypatch`` for one test only; nothing in the
 package switches it on.  Each configuration also runs unmutated, where the
@@ -104,3 +104,21 @@ def test_halved_forced_bound_mutant_fails_its_family(target, n, mutated, monkeyp
         monkeypatch.setattr(certificates, "_corner_forcing_steps", _halved_forcing_steps)
     got = statuses(**certify(target, n))
     assert got[f"certify.{target}.n={n}.outcome"] == ("fail" if mutated else "pass")
+
+
+_SQUEEZE = certificates.squeeze_bounds
+
+
+def _untransposed_squeeze(D):
+    """The squeeze bounds with D in place of D^t: they pin the lower-right
+    value on D itself."""
+    return _SQUEEZE(np.asarray(D).swapaxes(-1, -2))
+
+
+@pytest.mark.parametrize("mutated", [False, True], ids=["original", "mutant"])
+def test_untransposed_squeeze_mutant_fails_its_family(mutated, monkeypatch):
+    # D != D^t on the projections onto (e_k + i e_l)/sqrt(2)
+    if mutated:
+        monkeypatch.setattr(certificates, "squeeze_bounds", _untransposed_squeeze)
+    got = statuses(**certify("gamma", 2))
+    assert got["certify.gamma.n=2.narrative"] == ("fail" if mutated else "pass")
