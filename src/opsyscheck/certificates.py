@@ -303,12 +303,16 @@ def lower_right_forcing_check(n: int) -> float:
     """Worst residual of the squeeze X = D^t over the rank-one projections
     of ``_projection_stacks``.  They span the self-adjoint matrices and the
     extension is linear, so pinning its values on them pins them on every
-    0 <= D <= I."""
+    0 <= D <= I.
+
+    The feasibility term is the smallest eigenvalue of the forced image
+    [[D^t, D^t], [D^t, D^t]], whose spectrum is 2 spec(D^t) and n zeros,
+    so it is min(0, 2 lambda_min(D^t)) from an n x n eigensolve."""
     worst = 0.0
     for D in _projection_stacks(n):
         lower, upper = squeeze_bounds(D)
         Dt = D.swapaxes(-1, -2)
-        feas_min = float(hermitian_part_eigenvalues(block2x2(Dt, Dt, Dt, Dt))[:, 0].min())
+        feas_min = min(0.0, 2.0 * float(hermitian_part_eigenvalues(Dt)[:, 0].min()))
         worst = max(worst, float(np.abs(lower - Dt).max()), float(np.abs(upper - Dt).max()), -feas_min)
     return worst
 

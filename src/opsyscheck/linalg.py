@@ -156,6 +156,17 @@ class PsdVerdict:
     min_eigenvalue: float | np.ndarray
     hermiticity_defect: float | np.ndarray
 
+    def at(self, tol: float) -> bool | np.ndarray:
+        """The verdict ``is_psd`` reaches at another tolerance, read off the
+        same defect and smallest eigenvalue, with no second eigensolve."""
+        return _psd_decision(self.hermiticity_defect, self.min_eigenvalue, tol)
+
+
+def _psd_decision(defect, min_eig, tol: float):
+    """The one PSD decision rule: defect at most tol, smallest eigenvalue at
+    least -tol."""
+    return (defect <= tol) & (min_eig >= -tol)
+
 
 def is_psd(M, tol: float = PSD_TOL) -> PsdVerdict:
     """Decide positive semidefiniteness with a tolerance.
@@ -175,8 +186,9 @@ def is_psd(M, tol: float = PSD_TOL) -> PsdVerdict:
     min_eig = _eigvalsh_hermitian_part(A)[..., 0]
     if A.ndim == 2:
         min_eig = float(min_eig)
-    ok = (defect <= tol) & (min_eig >= -tol)
-    return PsdVerdict(is_psd=ok, min_eigenvalue=min_eig, hermiticity_defect=defect)
+    return PsdVerdict(
+        is_psd=_psd_decision(defect, min_eig, tol), min_eigenvalue=min_eig, hermiticity_defect=defect
+    )
 
 
 def matrix_unit(n: int, i: int, j: int) -> np.ndarray:

@@ -21,6 +21,7 @@ from .linalg import (
     IDENTITY_TOL,
     MARGIN,
     MEMBERSHIP_TOL,
+    PSD_TOL,
     hermitian_eigenvalues,
     is_psd,
     operator_norm,
@@ -28,7 +29,7 @@ from .linalg import (
 )
 from .maps import MapId, MapKind
 from .report import Claim, MatrixPayload, Report, STATUS_FAIL, STATUS_PASS
-from .systems import Field, LEMMA_KINDS, SystemId, SystemKind
+from .systems import CORNER_KINDS, Field, LEMMA_KINDS, SystemId, SystemKind
 
 
 class ConfigError(ValueError):
@@ -91,13 +92,57 @@ def _pass_fail(ok: bool) -> str:
     return STATUS_PASS if ok else STATUS_FAIL
 
 
+def _boundary_probe(s: SystemId) -> dict[str, np.ndarray]:
+    """Fields of one non-PSD element 0.06 from the criterion's boundary, on
+    the side where a mean would wrongly stand in for the geometric mean.
+
+    Paired shapes: a = 1, b = 1/4 and K = 0.56 E_11, so
+    sqrt(ab) < ||K|| < (a + b)/2.  Free-corner shapes: A = I, d = 1/4 and
+    b = c = 0.56, so d lambda_min(A) < |b|^2 while |b| < (d + lambda_min(A))/2.
+    """
+    dtype = s.field.dtype
+    if s.kind in CORNER_KINDS:
+        scalars = {"b": 0.56, "c": 0.56, "d": 0.25}
+        return {"A": np.eye(s.n, dtype=dtype)[None]} | {name: np.full(1, v, dtype) for name, v in scalars.items()}
+    C = np.zeros((1, s.n, s.n), dtype=dtype)
+    C[0, 0, 0] = 0.56
+    return {"a": np.ones(1, dtype), "b": np.full(1, 0.25, dtype), "C": C}
+
+
+def _lemma_stack(s: SystemId, rng: np.random.Generator, start: int, k: int) -> tuple[int, int]:
+    """(margin-filtered rows, disagreements) of trials start .. start + k - 1
+    of one lemma sweep.
+
+    Trial 0 is the boundary probe; the other even trials draw generic
+    elements and the odd ones positive elements, each kind as one stack.
+    The oracle eigensolves the kept probe and generic rows, and decides the
+    kept positive rows at PSD_TOL off the spectrum of their sampler's own
+    self-check.
+    """
+    t = np.arange(start, start + k)
+    drawn = [_boundary_probe(s)] if start == 0 else []
+    drawn.append(systems._draw_fields(s, rng, 1.0, np.count_nonzero((t % 2 == 0) & (t > 0))))
+    g = k - np.count_nonzero(t % 2)  # the probe and generic rows come first
+    positive, _, verdict = systems._draw_positive_fields(s, rng, k - g)
+    fields = systems._concat_fields(drawn + [positive])
+    kept = systems._margin_fields(s, fields) > MARGIN
+    solved = np.flatnonzero(kept[:g])
+    oracle = np.concatenate(
+        [
+            is_psd(systems._embed_fields(s, systems._rows(fields, solved), (len(solved),))).is_psd,
+            verdict.at(PSD_TOL)[kept[g:]],
+        ]
+    )
+    criterion = systems._criterion_fields(s, systems._rows(fields, kept))
+    return int(np.count_nonzero(kept)), int(np.count_nonzero(oracle != criterion))
+
+
 def lemma_claims(cfg: RunConfig) -> list[Claim]:
     """Criterion-versus-oracle agreement over margin-filtered seeded draws.
 
-    Draws alternate generic and positive elements, one draw at a time.  The
-    margin, the criterion and the eigenvalue oracle then run per stack of
-    at most 2^15 matrix entries, on the generic draws embedded together and
-    the positive draws' own matrices.
+    Each (kind, n) sweep starts with a boundary probe, then alternates
+    generic and positive draws.  Draws, margin, criterion and oracle run
+    per stack of at most 2^15 matrix entries.
     """
     claims: list[Claim] = []
     for kidx, kind in enumerate(LEMMA_KINDS):
@@ -109,26 +154,9 @@ def lemma_claims(cfg: RunConfig) -> list[Claim]:
             disagreements = 0
             checked = 0
             for start, k in stack_chunks(cfg.trials, 2 * n):
-                generic = np.arange(start, start + k) % 2 == 0
-                elements, positives = [], []
-                for is_generic in generic:
-                    if is_generic:
-                        elements.append(systems._draw_element(s, rng, 1.0))
-                    else:
-                        e, M = systems._draw_positive_embedded(s, rng)
-                        elements.append(e)
-                        positives.append(M)
-                fields = systems._stack_elements(elements)
-                matrices = np.empty((k, 2 * n, 2 * n), dtype=kind.field.dtype)
-                matrices[generic] = systems._embed_fields(
-                    s, {name: value[generic] for name, value in fields.items()}, (np.count_nonzero(generic),)
-                )
-                if positives:
-                    matrices[~generic] = positives
-                kept = systems._margin_fields(s, fields) > MARGIN
-                checked += int(np.count_nonzero(kept))
-                criterion = systems._criterion_fields(s, {name: value[kept] for name, value in fields.items()})
-                disagreements += int(np.count_nonzero(is_psd(matrices[kept]).is_psd != criterion))
+                kept, disagreed = _lemma_stack(s, rng, start, k)
+                checked += kept
+                disagreements += disagreed
             claims.append(
                 Claim(
                     id=f"lemma.{kind.token}.n={n}.agreement",
@@ -229,9 +257,8 @@ def swapbc_claims(cfg: RunConfig) -> list[Claim]:
 def ks_claims(cfg: RunConfig) -> list[Claim]:
     """Schwarz-inequality behavior of the forced extension candidates.
 
-    Self-adjoint elements are drawn one at a time; the block-square displays
-    and the Schwarz defects are then checked per stack of at most 2^15
-    matrix entries.
+    Self-adjoint elements are drawn, and the block-square displays and the
+    Schwarz defects checked, per stack of at most 2^15 matrix entries.
     """
     claims: list[Claim] = []
     for n in cfg.n_values:
@@ -240,10 +267,9 @@ def ks_claims(cfg: RunConfig) -> list[Claim]:
         rng = np.random.default_rng(_seed(cfg, 6, n))
         worst = 0.0
         for _, k in stack_chunks(min(cfg.trials, 50), 2 * n):
-            # each trial draws the display's element f, then the Schwarz input e
-            drawn = [systems._draw_selfadjoint(corner_sys, rng) for _ in range(2 * k)]
-            f = systems._stack_elements(drawn[0::2])
-            e = systems._stack_elements(drawn[1::2])
+            # the displays' elements f, then the Schwarz inputs e
+            f = systems._draw_selfadjoint(corner_sys, rng, k)
+            e = systems._draw_selfadjoint(corner_sys, rng, k)
             worst = max(worst, float(np.max(maps.corner_square_identities(f["A"], f["c"], f["d"].real))))
             ks = maps.kadison_schwarz_check(corner_map, systems._embed_fields(corner_sys, e, (k,)))
             worst = max(worst, float(np.max(np.abs(ks.defect_min_eigenvalue))))
@@ -265,15 +291,14 @@ def ks_claims(cfg: RunConfig) -> list[Claim]:
         worst_defect = math.inf
         for start, k in stack_chunks(min(cfg.trials, 100), 2 * n):
             inputs = []
-            for t in range(start, start + k):
-                if t == 0 and n >= 2:
-                    # structured probe: meets the threshold exactly where it breaks
-                    B = np.zeros((n, n), dtype=np.complex128)
-                    B[0, 1] = 1.0
-                    inputs.append(systems.ScalarDiagonalElement(sd_sys, 0.5, 0.5, B, B.conj().T))
-                else:
-                    inputs.append(systems._draw_selfadjoint(sd_sys, rng))
-            fields = systems._stack_elements(inputs)
+            if start == 0 and n >= 2:
+                # structured probe: meets the threshold exactly where it breaks
+                B = np.zeros((1, n, n), dtype=np.complex128)
+                B[0, 0, 1] = 1.0
+                half = np.full(1, 0.5, dtype=np.complex128)
+                inputs.append({"a": half, "d": half, "B": B, "C": B.conj().swapaxes(-1, -2)})
+            inputs.append(systems._draw_selfadjoint(sd_sys, rng, k - len(inputs)))
+            fields = systems._concat_fields(inputs)
             ks = maps.kadison_schwarz_check(sd_map, systems._embed_fields(sd_sys, fields, (k,)))
             worst_defect = min(worst_defect, float(np.min(ks.defect_min_eigenvalue)))
         if n <= 16:

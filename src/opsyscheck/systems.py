@@ -40,6 +40,7 @@ from .linalg import (
     PSD_TOL,
     DimensionMismatchError,
     FieldMismatchError,
+    PsdVerdict,
     _eigvalsh_hermitian_part,
     as_square,
     as_squares,
@@ -417,9 +418,21 @@ def _draw_fields(s: SystemId, rng: np.random.Generator, scale: float, k: int) ->
     return fields
 
 
+def _rows(fields: dict[str, np.ndarray], index) -> dict[str, np.ndarray]:
+    """The rows of a stack of field values that an index, a slice or a mask
+    selects."""
+    return {name: value[index] for name, value in fields.items()}
+
+
+def _concat_fields(stacks: list[dict[str, np.ndarray]]) -> dict[str, np.ndarray]:
+    """Stacks of field values of one system, one after the other.  Each
+    value is copied bit for bit; real values join complex ones exactly."""
+    return {name: np.concatenate([fields[name] for fields in stacks]) for name in stacks[0]}
+
+
 def _element_at(s: SystemId, fields: dict[str, np.ndarray], j: int) -> SystemElement:
     """The element made of row j of a stack of field values."""
-    return _ELEMENT_CLASS[s.kind](s, **{name: value[j] for name, value in fields.items()})
+    return _ELEMENT_CLASS[s.kind](s, **_rows(fields, j))
 
 
 def _draw_element(s: SystemId, rng: np.random.Generator, scale: float) -> SystemElement:
@@ -428,22 +441,19 @@ def _draw_element(s: SystemId, rng: np.random.Generator, scale: float) -> System
 
 
 def _draw_positive(s: SystemId, rng: np.random.Generator) -> SystemElement:
-    """One seeded PSD element, verified before return."""
-    return _draw_positive_embedded(s, rng)[0]
-
-
-def _draw_positive_embedded(s: SystemId, rng: np.random.Generator) -> tuple[SystemElement, np.ndarray]:
-    """One seeded PSD element and the matrix it embeds to, verified on that
-    matrix before return: the k = 1 case of ``_draw_positive_fields``."""
-    fields, M = _draw_positive_fields(s, rng, 1)
-    return _element_at(s, fields, 0), M[0]
+    """One seeded PSD element, verified before return: the k = 1 case of
+    ``_draw_positive_fields``."""
+    return _element_at(s, _draw_positive_fields(s, rng, 1)[0], 0)
 
 
 def _draw_positive_fields(
     s: SystemId, rng: np.random.Generator, k: int
-) -> tuple[dict[str, np.ndarray], np.ndarray]:
-    """Fields of k seeded PSD elements and the (k, 2n, 2n) stack they embed
-    to, verified on that stack before return.
+) -> tuple[dict[str, np.ndarray], np.ndarray, PsdVerdict]:
+    """Fields of k seeded PSD elements, the (k, 2n, 2n) stack they embed
+    to, and the verdict of the PSD self-check made on that stack at
+    IDENTITY_TOL before return.  The verdict carries each row's smallest
+    eigenvalue, so ``verdict.at(tol)`` decides the rows at another
+    tolerance without a second eigensolve.
 
     Each generator call covers the whole stack, in the order one element's
     draw makes them; a value only some elements need (a nonzero scalar, the
@@ -501,21 +511,31 @@ def _draw_positive_fields(
         raise AssertionError(
             f"positive sampler produced min eigenvalue {verdict.min_eigenvalue.min():.3e}"
         )
-    return fields, M
+    return fields, M, verdict
 
 
-def _draw_selfadjoint(s: SystemId, rng: np.random.Generator) -> SystemElement:
-    """Self-adjoint element of the scalar-diagonal or the free-corner system:
-    a Gaussian corner B with B* below it and uniform real scalars, or a
-    Hermitian part of a Gaussian A with Gaussian c, conj(c) and real d."""
+def _draw_selfadjoint(s: SystemId, rng: np.random.Generator, k: int) -> dict[str, np.ndarray]:
+    """Fields of k seeded self-adjoint elements of the scalar-diagonal or the
+    free-corner system: a Gaussian corner B with B* below it and uniform
+    real scalars, or the Hermitian part of a Gaussian A with Gaussian c,
+    conj(c) and real d.
+
+    Each generator call covers the whole stack, in the order one element's
+    draw makes them, so k = 1 consumes the generator exactly as one
+    element's draw does.
+    """
     n = s.n
     if s.kind is SystemKind.SCALAR_DIAGONAL:
-        B = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) / math.sqrt(n)
-        a, d = float(rng.uniform(-1, 1)), float(rng.uniform(-1, 1))
-        return ScalarDiagonalElement(s, a, d, B, B.conj().T)
-    G = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    c = complex(rng.normal(), rng.normal())
-    return FreeCornerElement(s, (G + G.conj().T) / 2.0, np.conj(c), c, float(rng.normal()))
+        B = (rng.normal(size=(k, n, n)) + 1j * rng.normal(size=(k, n, n))) / math.sqrt(n)
+        a, d = rng.uniform(-1, 1, (2, k)).astype(np.complex128)
+        return {"a": a, "d": d, "B": B, "C": B.conj().swapaxes(-1, -2)}
+    if s.kind is not SystemKind.FREE_CORNER:
+        raise UnsupportedSystemError(f"no self-adjoint sampler for {s.kind.token}")
+    G = rng.normal(size=(k, n, n)) + 1j * rng.normal(size=(k, n, n))
+    # each element's c from its real and imaginary parts in turn
+    c = rng.normal(size=(k, 2)).view(np.complex128)[:, 0]
+    d = rng.normal(size=k).astype(np.complex128)
+    return {"A": (G + G.conj().swapaxes(-1, -2)) / 2.0, "b": np.conj(c), "c": c, "d": d}
 
 
 def _draw_corner_tuple(
@@ -561,13 +581,6 @@ def _draw_psd_wishart(
     """G G* for G drawn by ``_draw_full``; a stack of them over ``lead``."""
     G = _draw_full(n, field, rng, lead)
     return G @ G.conj().swapaxes(-1, -2)
-
-
-def _stack_elements(elements) -> dict[str, np.ndarray]:
-    """Field values of elements of one system as a stack, row j holding
-    element j: the inverse of ``_element_at``.  Each value is copied bit
-    for bit."""
-    return {name: np.array([getattr(e, name) for e in elements]) for name, _, _ in _LAYOUT[type(elements[0])]}
 
 
 # One implementation of the criterion and the margin serves a stack of field

@@ -78,14 +78,37 @@ def _mean_criterion(s, fields, tol: float = PSD_TOL):
     return ~refused & (np.linalg.svd(K, compute_uv=False)[..., 0] <= (a.real + b.real) / 2.0 + tol)
 
 
+def _corner_mean_criterion(s, fields, tol: float = PSD_TOL):
+    """The stacked criterion with |b| <= (d + lambda_min(A))/2 in place of
+    d lambda_min(A) >= |b|^2 on the free-corner shapes."""
+    if s.kind not in systems.CORNER_KINDS:
+        return _CRITERION(s, fields, tol)
+    A, b, c, d = fields["A"], fields["b"], fields["c"], fields["d"]
+    adjoint = A.conj().swapaxes(-1, -2)
+    lam_min = np.linalg.eigvalsh((A + adjoint) / 2.0)[..., 0]
+    defect = np.abs(A - adjoint).max(axis=(-2, -1))
+    refused = (np.abs(c - np.conj(b)) > tol) | (np.abs(d.imag) > tol) | (np.minimum(d.real, lam_min) < -tol)
+    return ~(refused | (defect > tol)) & (np.abs(b) <= (d.real + lam_min) / 2.0 + tol)
+
+
+# (the mutated criterion, the field of the run, the claim the mutant fails);
+# the boundary probe that opens each lemma sweep lies between the geometric
+# and the arithmetic mean, so each mutant fails from the first trial on
+LEMMA_MUTANTS = {
+    "paired": (_mean_criterion, "real", "lemma.transpose-paired.n=1.agreement"),
+    "free-corner": (_corner_mean_criterion, "complex", "lemma.free-corner.n=1.agreement"),
+}
+
+
 @pytest.mark.parametrize("mutated", [False, True], ids=["original", "mutant"])
-def test_lemma_mean_criterion_mutant_fails_its_family(mutated, monkeypatch):
-    # at 100 trials this mutant survives: no kept draw tells the two
-    # criteria apart
+@pytest.mark.parametrize("trials", [1, 100, 500])
+@pytest.mark.parametrize("name", list(LEMMA_MUTANTS))
+def test_lemma_mean_criterion_mutant_fails_its_family(name, trials, mutated, monkeypatch):
+    criterion, field, claim_id = LEMMA_MUTANTS[name]
     if mutated:
-        monkeypatch.setattr(systems, "_criterion_fields", _mean_criterion)
-    got = statuses(suite.lemma_claims, command="verify", target="lemma", n_values=(1,), trials=500, field="real")
-    assert got["lemma.transpose-paired.n=1.agreement"] == ("fail" if mutated else "pass")
+        monkeypatch.setattr(systems, "_criterion_fields", criterion)
+    got = statuses(suite.lemma_claims, command="verify", target="lemma", n_values=(1,), trials=trials, field=field)
+    assert got[claim_id] == ("fail" if mutated else "pass")
 
 
 _FORCING_STEPS = certificates._corner_forcing_steps

@@ -24,6 +24,7 @@ from opsyscheck.linalg import (
     char_poly_block_eval,
     hermitian_part_eigenvalues,
     hermiticity_defect,
+    is_psd,
     operator_norm,
 )
 from opsyscheck.maps import (
@@ -57,10 +58,8 @@ from opsyscheck.systems import (
     _element_at,
     _embed_fields,
     _margin_fields,
-    _stack_elements,
     boundary_margin,
     contains,
-    embed,
     is_positive_by_criterion,
 )
 
@@ -224,7 +223,7 @@ def _free_corner_rows(s: SystemId, positive: dict) -> list[dict]:
 
 def _criterion_rows(s: SystemId, rng: np.random.Generator, k: int = 8) -> dict:
     generic = _draw_fields(s, rng, 1.0, k)
-    positive, _ = _draw_positive_fields(s, rng, k)
+    positive, _, _ = _draw_positive_fields(s, rng, k)
     shaped = _free_corner_rows if s.kind in CORNER_KINDS else _scalar_shape_rows
     return _concat([generic, positive] + shaped(s, positive))
 
@@ -256,6 +255,20 @@ def test_stacked_criterion_honours_its_tolerance_argument():
     for tol in (1e-9, 1e-3):
         got = _criterion_fields(s, fields, tol)
         assert got.tolist() == [_reference_criterion(_element_at(s, fields, j), tol) for j in range(len(got))]
+
+
+@pytest.mark.parametrize("kind", LEMMA_KINDS, ids=lambda k: k.token)
+@pytest.mark.parametrize("n", SIZES)
+def test_boundary_probe_is_a_kept_non_psd_member(kind, n):
+    # the probe that opens each lemma sweep: outside the cone, 0.06 from
+    # the criterion's boundary, so the margin filter keeps it
+    s = SystemId(kind, n)
+    probe = suite._boundary_probe(s)
+    M = _embed_fields(s, probe, (1,))
+    assert contains(s, M).all()
+    assert 0.05 < _margin_fields(s, probe)[0] < 0.07
+    assert not _criterion_fields(s, probe)[0]
+    assert not is_psd(M).is_psd[0]
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +321,7 @@ def _selfadjoint_stack(m: MapId, rng: np.random.Generator, k: int) -> np.ndarray
     if m.domain is None:
         G = _draw_full(m.n, Field.COMPLEX, rng, (k,))
         return (G + G.conj().swapaxes(-1, -2)) / 2.0
-    return np.stack([embed(_draw_selfadjoint(m.domain, rng)) for _ in range(k)])
+    return _embed_fields(m.domain, _draw_selfadjoint(m.domain, rng, k), (k,))
 
 
 @pytest.mark.parametrize("kind", SCHWARZ_MAPS, ids=lambda k: k.token)
@@ -346,7 +359,7 @@ def test_schwarz_check_on_a_stack_raises_as_a_single_call_does():
 @pytest.mark.parametrize("n", (1, 2, 3, 6))
 def test_corner_square_identities_on_a_stack_match_their_rows(n):
     rng = np.random.default_rng(n)
-    f = _stack_elements([_draw_selfadjoint(SystemId(SystemKind.FREE_CORNER, n), rng) for _ in range(6)])
+    f = _draw_selfadjoint(SystemId(SystemKind.FREE_CORNER, n), rng, 6)
     residuals = corner_square_identities(f["A"], f["c"], f["d"].real)
     assert residuals.shape == (6,)
     for j in range(6):

@@ -17,6 +17,7 @@ from opsyscheck import (
     ScalarDiagonalElement,
     SystemId,
     SystemKind,
+    UnsupportedSystemError,
     boundary_margin,
     contains,
     embed,
@@ -31,12 +32,14 @@ from opsyscheck.systems import (
     _draw_element,
     _draw_fields,
     _draw_positive,
-    _draw_positive_embedded,
     _draw_positive_fields,
     _draw_psd_rank_one,
     _draw_psd_wishart,
+    _draw_selfadjoint,
+    _element_at,
     _embed_fields,
 )
+from opsyscheck.linalg import IDENTITY_TOL, MARGIN, PSD_TOL
 
 ALL_KINDS = list(SystemKind)
 
@@ -173,7 +176,8 @@ def test_positive_draw_comes_with_its_embedding(kind):
     for seed in range(5):
         rng_e, rng_m = np.random.default_rng(seed), np.random.default_rng(seed)
         e = _draw_positive(s, rng_e)
-        f, M = _draw_positive_embedded(s, rng_m)
+        fields, stack, _ = _draw_positive_fields(s, rng_m, 1)
+        f, M = _element_at(s, fields, 0), stack[0]
         assert type(f) is type(e) and f.system == e.system
         assert np.array_equal(M, embed(e)) and np.array_equal(M, embed(f))
         assert M.dtype == embed(e).dtype
@@ -402,7 +406,8 @@ def test_single_positive_draw_is_the_stacked_draw_at_k1(kind, n, seed):
     s = SystemId(kind, n)
     ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
     want = _reference_draw_positive(s, ref_rng)
-    got, M = _draw_positive_embedded(s, rng)
+    fields, stack, _ = _draw_positive_fields(s, rng, 1)
+    got, M = _element_at(s, fields, 0), stack[0]
     assert rng.bit_generator.state == ref_rng.bit_generator.state
     assert type(got) is type(want)
     for f in dataclasses.fields(want)[1:]:
@@ -419,7 +424,7 @@ def test_single_positive_draw_is_the_stacked_draw_at_k1(kind, n, seed):
 @given(seed=SEEDS, k=st.integers(min_value=2, max_value=12))
 def test_stacked_positive_draw_rows_are_positive_members(kind, n, seed, k):
     s = SystemId(kind, n)
-    fields, stack = _draw_positive_fields(s, np.random.default_rng(seed), k)
+    fields, stack, _ = _draw_positive_fields(s, np.random.default_rng(seed), k)
     assert stack.shape == (k, 2 * n, 2 * n) and stack.dtype == s.field.dtype
     assert contains(s, stack).all()
     assert is_psd(stack, tol=1e-9).is_psd.all()
@@ -428,6 +433,70 @@ def test_stacked_positive_draw_rows_are_positive_members(kind, n, seed, k):
         e = cls(s, **{name: value[j] for name, value in fields.items()})
         assert is_positive_by_criterion(e)
         assert _bits(M) == _bits(embed(e))
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("n", [1, 2, 5, 17])
+def test_positive_draw_verdict_decides_as_is_psd(kind, n):
+    # the lemma oracle reads a positive draw's PSD_TOL verdict off its
+    # sampler's self-check instead of eigensolving the draw again
+    s = SystemId(kind, n)
+    for k in (1, 9):
+        _, stack, verdict = _draw_positive_fields(s, np.random.default_rng(n + k), k)
+        assert _bits(verdict.min_eigenvalue) == _bits(is_psd(stack, tol=IDENTITY_TOL).min_eigenvalue)
+        for tol in (PSD_TOL, IDENTITY_TOL, MARGIN):
+            assert verdict.at(tol).tolist() == [is_psd(M, tol=tol).is_psd for M in stack]
+
+
+def _reference_draw_selfadjoint(s, rng):
+    """Reference one-element self-adjoint draw, one generator call per
+    value."""
+    n = s.n
+    if s.kind is SystemKind.SCALAR_DIAGONAL:
+        B = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) / math.sqrt(n)
+        a, d = float(rng.uniform(-1, 1)), float(rng.uniform(-1, 1))
+        return ScalarDiagonalElement(s, a, d, B, B.conj().T)
+    G = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    c = complex(rng.normal(), rng.normal())
+    return FreeCornerElement(s, (G + G.conj().T) / 2.0, np.conj(c), c, float(rng.normal()))
+
+
+SELFADJOINT_KINDS = (SystemKind.SCALAR_DIAGONAL, SystemKind.FREE_CORNER)
+
+
+@pytest.mark.parametrize("kind", SELFADJOINT_KINDS)
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 17])
+@settings(max_examples=25, deadline=None)
+@given(seed=SEEDS)
+def test_single_selfadjoint_draw_is_the_stacked_draw_at_k1(kind, n, seed):
+    s = SystemId(kind, n)
+    ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    want = _reference_draw_selfadjoint(s, ref_rng)
+    fields = _draw_selfadjoint(s, rng, 1)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    got = _element_at(s, fields, 0)
+    for f in dataclasses.fields(want)[1:]:
+        value = getattr(want, f.name)
+        assert type(getattr(got, f.name)) is type(value)
+        assert _bits(getattr(got, f.name)) == _bits(value)
+        assert _bits(fields[f.name][0]) == _bits(value)
+
+
+@pytest.mark.parametrize("kind", SELFADJOINT_KINDS)
+@pytest.mark.parametrize("n", [1, 2, 5])
+@settings(max_examples=10, deadline=None)
+@given(seed=SEEDS, k=st.integers(min_value=2, max_value=12))
+def test_stacked_selfadjoint_draw_rows_are_selfadjoint_members(kind, n, seed, k):
+    s = SystemId(kind, n)
+    stack = _embed_fields(s, _draw_selfadjoint(s, np.random.default_rng(seed), k), (k,))
+    assert stack.shape == (k, 2 * n, 2 * n) and stack.dtype == np.complex128
+    assert contains(s, stack).all()
+    assert np.array_equal(stack, stack.conj().swapaxes(-1, -2))
+
+
+def test_selfadjoint_draw_refuses_other_systems():
+    with pytest.raises(UnsupportedSystemError):
+        _draw_selfadjoint(SystemId(SystemKind.TRANSPOSE_PAIRED, 2), np.random.default_rng(0), 3)
 
 
 def _reference_corner_tuple(n, rng):
