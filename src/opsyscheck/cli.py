@@ -21,15 +21,7 @@ import sys
 from pathlib import Path
 
 from .report import Report, render_text, report_to_csv, report_to_json
-from .suite import (
-    CERTIFY_TARGETS,
-    ConfigError,
-    NORM_DEFAULT_N,
-    RunConfig,
-    SUITE_DEFAULT_N,
-    VERIFY_TARGETS,
-    run,
-)
+from .suite import DEFAULT_N, MAX_N, MIN_N, NORM_DEFAULT_N, ConfigError, RunConfig, run, targets
 
 
 def parse_n_values(text: str) -> tuple[int, ...]:
@@ -47,6 +39,9 @@ def parse_n_values(text: str) -> tuple[int, ...]:
                 raise ConfigError(f"bad size range {part!r}") from exc
             if hi < lo:
                 raise ConfigError(f"descending size range {part!r}")
+            # bounds first: a wide range would fill memory before RunConfig sees it
+            if lo < MIN_N or hi > MAX_N:
+                raise ConfigError(f"size range {part!r} leaves [{MIN_N}, {MAX_N}]")
             values.extend(range(lo, hi + 1))
         else:
             try:
@@ -74,18 +69,19 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_verify = sub.add_parser("verify", help="agreement and invariant checks")
-    p_verify.add_argument("target", choices=list(VERIFY_TARGETS))
+    p_verify.add_argument("target", choices=targets("verify"))
     _add_shared(p_verify)
 
     p_norm = sub.add_parser("norm", help="norm estimation for one map")
-    p_norm.add_argument("--map", dest="map_token", required=True, choices=sorted(NORM_DEFAULT_N))
+    p_norm.add_argument("--map", dest="target", required=True, choices=targets("norm"))
     _add_shared(p_norm)
 
     p_cert = sub.add_parser("certify", help="extension certificates")
-    p_cert.add_argument("--which", required=True, choices=list(CERTIFY_TARGETS))
+    p_cert.add_argument("--which", dest="target", required=True, choices=targets("certify"))
     _add_shared(p_cert)
 
     p_suite = sub.add_parser("suite", help="run everything")
+    p_suite.set_defaults(target=None)
     _add_shared(p_suite)
 
     return parser
@@ -104,42 +100,30 @@ def _resolve_seed(args: argparse.Namespace) -> int:
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    command = args.command
-    if command == "verify":
-        target = args.target
-        default_n = (1, 2, 3, 4)
-    elif command == "norm":
-        target = args.map_token
-        default_n = NORM_DEFAULT_N[target]
-    elif command == "certify":
-        target = args.which
-        default_n = (2,)
+    if args.n:
+        n_values = parse_n_values(args.n)
     else:
-        target = None
-        default_n = SUITE_DEFAULT_N
-    n_values = parse_n_values(args.n) if args.n else tuple(default_n)
+        n_values = NORM_DEFAULT_N[args.target] if args.command == "norm" else DEFAULT_N[args.command]
     return RunConfig(
-        command=command,
-        target=target,
+        command=args.command,
+        target=args.target,
         n_values=n_values,
         field=args.field,
         trials=args.trials,
         restarts=args.restarts,
         seed=_resolve_seed(args),
-        output=args.output,
-        output_path=args.output_path,
     )
 
 
-def _emit(report: Report, cfg: RunConfig) -> None:
-    if cfg.output == "json":
+def _emit(report: Report, args: argparse.Namespace) -> None:
+    if args.output == "json":
         payload = report_to_json(report) + "\n"
-    elif cfg.output == "csv":
+    elif args.output == "csv":
         payload = report_to_csv(report)
     else:
         payload = render_text(report)
-    if cfg.output_path:
-        Path(cfg.output_path).write_text(payload)
+    if args.output_path:
+        Path(args.output_path).write_text(payload)
     else:
         sys.stdout.write(payload)
 
@@ -153,7 +137,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    _emit(report, cfg)
+    _emit(report, args)
     return 1 if report.failed else 0
 
 

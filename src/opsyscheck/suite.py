@@ -39,18 +39,14 @@ class ConfigError(ValueError):
 MIN_N = 1
 MAX_N = 64
 
-SUITE_DEFAULT_N = (1, 2, 3, 4, 8, 16, 17)
-
-# per-map default sizes for the norm command
+# default block sizes per command; the norm command takes them per map
+DEFAULT_N = {"verify": (1, 2, 3, 4), "certify": (2,), "suite": (1, 2, 3, 4, 8, 16, 17)}
 NORM_DEFAULT_N = {
     "phi": (2, 5, 6, 8),
     "upsilon": (2, 4),
     "upsilon-prime": (2, 3, 4),
     "gamma": (2, 4),
 }
-
-VERIFY_TARGETS = ("lemma", "maps", "swapbc", "ks")
-CERTIFY_TARGETS = ("phi", "upsilon", "gamma")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -62,10 +58,13 @@ class RunConfig:
     trials: int = 500
     restarts: int = 50
     seed: int = 0
-    output: str = "text"
-    output_path: str | None = None
 
     def __post_init__(self):
+        if (self.command, self.target) not in _RUNNERS:
+            choices = targets(self.command)
+            if not choices:
+                raise ConfigError(f"unknown command {self.command!r}")
+            raise ConfigError(f"{self.command} target must be one of {choices}, got {self.target!r}")
         for n in self.n_values:
             if not (MIN_N <= n <= MAX_N):
                 raise ConfigError(f"n={n} outside [{MIN_N}, {MAX_N}]")
@@ -88,8 +87,9 @@ def _field_allows(cfg: RunConfig, f: Field) -> bool:
     return cfg.field == "both" or cfg.field == f.value
 
 
-def _pass_fail(ok: bool) -> str:
-    return STATUS_PASS if ok else STATUS_FAIL
+def _claim(id: str, anchor: str, ok: bool, residual: float | None, witness: MatrixPayload | None = None) -> Claim:
+    """The one place a check becomes a claim and its status is decided."""
+    return Claim(id=id, anchor=anchor, status=STATUS_PASS if ok else STATUS_FAIL, residual=residual, witness=witness)
 
 
 def _boundary_probe(s: SystemId) -> dict[str, np.ndarray]:
@@ -158,14 +158,12 @@ def lemma_claims(cfg: RunConfig) -> list[Claim]:
                 checked += kept
                 disagreements += disagreed
             claims.append(
-                Claim(
-                    id=f"lemma.{kind.token}.n={n}.agreement",
-                    anchor=(
-                        f"closed-form positivity criterion agrees with the eigenvalue"
-                        f" oracle on {checked} margin-filtered draws"
-                    ),
-                    status=_pass_fail(disagreements == 0),
-                    residual=float(disagreements),
+                _claim(
+                    f"lemma.{kind.token}.n={n}.agreement",
+                    "closed-form positivity criterion agrees with the eigenvalue"
+                    f" oracle on {checked} margin-filtered draws",
+                    disagreements == 0,
+                    float(disagreements),
                 )
             )
     return claims
@@ -180,42 +178,32 @@ def maps_claims(cfg: RunConfig) -> list[Claim]:
         for n in cfg.n_values:
             m = MapId(kind, n)
             rep = maps.check_structural(m, trials=25, rng_seed=_seed(cfg, 2, kidx, n))
-            worst = max(rep.unital_residual, rep.self_adjoint_worst, rep.linear_worst)
             claims.append(
-                Claim(
-                    id=f"maps.{kind.token}.n={n}.structural",
-                    anchor="map is unital, self-adjointness-preserving and linear",
-                    status=_pass_fail(rep.passed),
-                    residual=worst,
+                _claim(
+                    f"maps.{kind.token}.n={n}.structural",
+                    "map is unital, self-adjointness-preserving and linear",
+                    rep.passed,
+                    max(rep.unital_residual, rep.self_adjoint_worst, rep.linear_worst),
                 )
             )
             prep = maps.check_positivity_preserving(m, trials=cfg.trials, rng_seed=_seed(cfg, 3, kidx, n))
             if kind is MapKind.BLOCK_TRANSPOSE and n >= 2:
-                found = prep.violation_count >= 1 and prep.min_output_eigenvalue <= -MARGIN
-                witness = (
-                    MatrixPayload.from_matrix(prep.violations[0].input)
-                    if prep.violations
-                    else None
-                )
                 claims.append(
-                    Claim(
-                        id=f"maps.{kind.token}.n={n}.violation-found",
-                        anchor=(
-                            "full block transpose breaks positivity on a seeded"
-                            " PSD input, as it must"
-                        ),
-                        status=_pass_fail(found),
-                        residual=prep.min_output_eigenvalue,
-                        witness=witness,
+                    _claim(
+                        f"maps.{kind.token}.n={n}.violation-found",
+                        "full block transpose breaks positivity on a seeded PSD input, as it must",
+                        prep.violation_count >= 1 and prep.min_output_eigenvalue <= -MARGIN,
+                        prep.min_output_eigenvalue,
+                        MatrixPayload.from_matrix(prep.violations[0].input) if prep.violations else None,
                     )
                 )
             else:
                 claims.append(
-                    Claim(
-                        id=f"maps.{kind.token}.n={n}.positive-inputs",
-                        anchor=f"no positivity violation across {prep.trials} seeded PSD inputs",
-                        status=_pass_fail(prep.violation_count == 0),
-                        residual=max(0.0, -prep.min_output_eigenvalue),
+                    _claim(
+                        f"maps.{kind.token}.n={n}.positive-inputs",
+                        f"no positivity violation across {prep.trials} seeded PSD inputs",
+                        prep.violation_count == 0,
+                        max(0.0, -prep.min_output_eigenvalue),
                     )
                 )
     return claims
@@ -227,11 +215,11 @@ def swapbc_claims(cfg: RunConfig) -> list[Claim]:
     for n in cfg.n_values:
         dev = maps.swap_bc_singular_check(n, trials=cfg.trials, rng_seed=_seed(cfg, 4, n))
         claims.append(
-            Claim(
-                id=f"swapbc.n={n}.singular-values",
-                anchor="sorted singular values are invariant under trading the two scalar corners",
-                status=_pass_fail(dev <= IDENTITY_TOL),
-                residual=dev,
+            _claim(
+                f"swapbc.n={n}.singular-values",
+                "sorted singular values are invariant under trading the two scalar corners",
+                dev <= IDENTITY_TOL,
+                dev,
             )
         )
         rel = maps.char_poly_swap_check(
@@ -241,14 +229,11 @@ def swapbc_claims(cfg: RunConfig) -> list[Claim]:
             rng_seed=_seed(cfg, 5, n),
         )
         claims.append(
-            Claim(
-                id=f"swapbc.n={n}.char-poly",
-                anchor=(
-                    "det(M*M - lam I) is symmetric in the scalar corners and matches"
-                    " the reduced n x n evaluation"
-                ),
-                status=_pass_fail(rel <= 1e-8),
-                residual=rel,
+            _claim(
+                f"swapbc.n={n}.char-poly",
+                "det(M*M - lam I) is symmetric in the scalar corners and matches the reduced n x n evaluation",
+                rel <= 1e-8,
+                rel,
             )
         )
     return claims
@@ -274,14 +259,12 @@ def ks_claims(cfg: RunConfig) -> list[Claim]:
             ks = maps.kadison_schwarz_check(corner_map, systems._embed_fields(corner_sys, e, (k,)))
             worst = max(worst, float(np.max(np.abs(ks.defect_min_eigenvalue))))
         claims.append(
-            Claim(
-                id=f"ks.psi-transpose.free-corner.n={n}",
-                anchor=(
-                    "block-square displays hold entrywise and the blockwise-transpose"
-                    " candidate has zero Schwarz defect on the free-corner system"
-                ),
-                status=_pass_fail(worst <= MEMBERSHIP_TOL),
-                residual=worst,
+            _claim(
+                f"ks.psi-transpose.free-corner.n={n}",
+                "block-square displays hold entrywise and the blockwise-transpose"
+                " candidate has zero Schwarz defect on the free-corner system",
+                worst <= MEMBERSHIP_TOL,
+                worst,
             )
         )
 
@@ -303,105 +286,81 @@ def ks_claims(cfg: RunConfig) -> list[Claim]:
             worst_defect = min(worst_defect, float(np.min(ks.defect_min_eigenvalue)))
         if n <= 16:
             claims.append(
-                Claim(
-                    id=f"ks.phi.trace-averaged.n={n}",
-                    anchor=(
-                        "trace-averaged compression candidate satisfies the Schwarz"
-                        " inequality on self-adjoint inputs"
-                    ),
-                    status=_pass_fail(worst_defect >= -IDENTITY_TOL),
-                    residual=max(0.0, -worst_defect),
+                _claim(
+                    f"ks.phi.trace-averaged.n={n}",
+                    "trace-averaged compression candidate satisfies the Schwarz inequality on self-adjoint inputs",
+                    worst_defect >= -IDENTITY_TOL,
+                    max(0.0, -worst_defect),
                 )
             )
         else:
             claims.append(
-                Claim(
-                    id=f"ks.phi.trace-averaged.n={n}.breaks",
-                    anchor=(
-                        "above the threshold the compression candidate shows a"
-                        " negative Schwarz defect, so it is no longer positive"
-                    ),
-                    status=_pass_fail(worst_defect <= -MARGIN),
-                    residual=worst_defect,
+                _claim(
+                    f"ks.phi.trace-averaged.n={n}.breaks",
+                    "above the threshold the compression candidate shows a"
+                    " negative Schwarz defect, so it is no longer positive",
+                    worst_defect <= -MARGIN,
+                    worst_defect,
                 )
             )
     return claims
 
 
-# the known norm of each map: what the search must reach, and what no
-# sampled ratio may exceed
-_EXPECTED_NORM = {
-    "phi": lambda n: 1.0,
-    "upsilon": lambda n: 1.0,
-    "upsilon-prime": lambda n: 1.0 if n == 1 else 2.0 / math.sqrt(3.0),
-    "gamma": lambda n: 1.0,
-}
-
-_NORM_TOL = {
-    "phi": 1e-6,
-    "upsilon": 1e-6,
-    "upsilon-prime": 1e-4,
-    "gamma": 1e-6,
-}
-
-
 def norm_claims(cfg: RunConfig) -> list[Claim]:
+    """The multi-start norm search against each map's known norm.
+
+    The known norm, which the search must reach and no sampled ratio may
+    exceed, is 2/sqrt(3) for upsilon-prime beyond n = 1 and 1 otherwise.
+    """
     token = cfg.target
-    if token not in _EXPECTED_NORM:
-        raise ConfigError(f"norm target must be one of {sorted(_EXPECTED_NORM)}, got {token!r}")
     kind = maps.MAP_KIND_BY_TOKEN[token]
+    tol = 1e-4 if token == "upsilon-prime" else 1e-6
     claims: list[Claim] = []
     for n in cfg.n_values:
         m = MapId(kind, n)
         est = maps.estimate_map_norm(m, restarts=cfg.restarts, rng_seed=_seed(cfg, 8, n))
-        expected = _EXPECTED_NORM[token](n)
-        tol = _NORM_TOL[token]
-        claims.append(
-            Claim(
-                id=f"norm.{token}.n={n}.lower-bound",
-                anchor=f"multi-start search reaches the known norm {expected:.7f}",
-                status=_pass_fail(abs(est.lower_bound - expected) <= tol),
-                residual=abs(est.lower_bound - expected),
-                witness=MatrixPayload.from_matrix(est.witness),
-            )
-        )
+        expected = 2.0 / math.sqrt(3.0) if token == "upsilon-prime" and n > 1 else 1.0
+        gap = abs(est.lower_bound - expected)
         wn = operator_norm(est.witness)
-        claims.append(
-            Claim(
-                id=f"norm.{token}.n={n}.witness-unit",
-                anchor="stored witness has unit norm",
-                status=_pass_fail(abs(wn - 1.0) <= IDENTITY_TOL),
-                residual=abs(wn - 1.0),
-            )
-        )
         img = operator_norm(maps.apply(m, est.witness))
-        claims.append(
-            Claim(
-                id=f"norm.{token}.n={n}.image-norm",
-                anchor="witness image norm reproduces the reported lower bound",
-                status=_pass_fail(abs(img - est.lower_bound) <= IDENTITY_TOL),
-                residual=abs(img - est.lower_bound),
-            )
-        )
         over = max(0.0, est.lower_bound - expected)
-        claims.append(
-            Claim(
-                id=f"norm.{token}.n={n}.upper-bound-respected",
-                anchor="no sampled ratio exceeds the closed-form upper bound",
-                status=_pass_fail(over <= IDENTITY_TOL),
-                residual=over,
-            )
-        )
+        claims += [
+            _claim(
+                f"norm.{token}.n={n}.lower-bound",
+                f"multi-start search reaches the known norm {expected:.7f}",
+                gap <= tol,
+                gap,
+                MatrixPayload.from_matrix(est.witness),
+            ),
+            _claim(
+                f"norm.{token}.n={n}.witness-unit",
+                "stored witness has unit norm",
+                abs(wn - 1.0) <= IDENTITY_TOL,
+                abs(wn - 1.0),
+            ),
+            _claim(
+                f"norm.{token}.n={n}.image-norm",
+                "witness image norm reproduces the reported lower bound",
+                abs(img - est.lower_bound) <= IDENTITY_TOL,
+                abs(img - est.lower_bound),
+            ),
+            _claim(
+                f"norm.{token}.n={n}.upper-bound-respected",
+                "no sampled ratio exceeds the closed-form upper bound",
+                over <= IDENTITY_TOL,
+                over,
+            ),
+        ]
         if token == "upsilon-prime":
             margin = maps.swap_bound_domination(
                 n, samples=min(cfg.trials * 4, 10_000), rng_seed=_seed(cfg, 9, n)
             )
             claims.append(
-                Claim(
-                    id=f"norm.{token}.n={n}.bound-dominates",
-                    anchor="closed-form bound dominates the image norm on every sampled element",
-                    status=_pass_fail(margin >= -IDENTITY_TOL),
-                    residual=max(0.0, -margin),
+                _claim(
+                    f"norm.{token}.n={n}.bound-dominates",
+                    "closed-form bound dominates the image norm on every sampled element",
+                    margin >= -IDENTITY_TOL,
+                    max(0.0, -margin),
                 )
             )
     return claims
@@ -422,105 +381,83 @@ def _expected_outcome(which: str, n: int) -> Outcome:
 
 
 def certify_claims(cfg: RunConfig) -> list[Claim]:
+    """Each certificate's verdict against the outcome expected at its size."""
     which = cfg.target
-    if which not in _CERTIFY_FN:
-        raise ConfigError(f"certify target must be one of {sorted(_CERTIFY_FN)}, got {which!r}")
     claims: list[Claim] = []
     for n in cfg.n_values:
         v: Verdict = _CERTIFY_FN[which](n)
         expected = _expected_outcome(which, n)
-        witness = MatrixPayload.from_matrix(v.witnesses[0][1]) if v.witnesses else None
         claims.append(
-            Claim(
-                id=f"certify.{which}.n={n}.outcome",
-                anchor=f"verdict is {v.outcome.value}; expected {expected.value} at this size",
-                status=_pass_fail(v.outcome is expected),
-                residual=None,
-                witness=witness,
+            _claim(
+                f"certify.{which}.n={n}.outcome",
+                f"verdict is {v.outcome.value}; expected {expected.value} at this size",
+                v.outcome is expected,
+                None,
+                MatrixPayload.from_matrix(v.witnesses[0][1]) if v.witnesses else None,
             )
         )
-        problems = verify_verdict_invariants(v)
-        worst = max((s.residual for s in v.narrative), default=0.0)
         claims.append(
-            Claim(
-                id=f"certify.{which}.n={n}.narrative",
-                anchor=f"all {len(v.narrative)} narrative residuals within declared tolerances",
-                status=_pass_fail(not problems),
-                residual=worst,
+            _claim(
+                f"certify.{which}.n={n}.narrative",
+                f"all {len(v.narrative)} narrative residuals within declared tolerances",
+                not verify_verdict_invariants(v),
+                max((s.residual for s in v.narrative), default=0.0),
             )
         )
         if v.outcome is Outcome.CONTRADICTION:
             claims.append(
-                Claim(
-                    id=f"certify.{which}.n={n}.margin",
-                    anchor="violation margin clears the reporting threshold",
-                    status=_pass_fail(v.margin is not None and v.margin >= MARGIN),
-                    residual=v.margin,
+                _claim(
+                    f"certify.{which}.n={n}.margin",
+                    "violation margin clears the reporting threshold",
+                    v.margin is not None and v.margin >= MARGIN,
+                    v.margin,
                 )
             )
         if which == "gamma" and v.outcome is Outcome.CONTRADICTION:
-            image = v.witnesses[-1][1]
-            min_eig = float(hermitian_eigenvalues(image)[0])
+            min_eig = float(hermitian_eigenvalues(v.witnesses[-1][1])[0])
             claims.append(
-                Claim(
-                    id=f"certify.{which}.n={n}.final-witness",
-                    anchor="forced image of the corner witness has eigenvalue exactly -1",
-                    status=_pass_fail(abs(min_eig + 1.0) <= MEMBERSHIP_TOL),
-                    residual=abs(min_eig + 1.0),
+                _claim(
+                    f"certify.{which}.n={n}.final-witness",
+                    "forced image of the corner witness has eigenvalue exactly -1",
+                    abs(min_eig + 1.0) <= MEMBERSHIP_TOL,
+                    abs(min_eig + 1.0),
                 )
             )
     return claims
 
 
 def suite_claims(cfg: RunConfig) -> list[Claim]:
-    """Everything: verifies and certificates at the configured sizes, norm
-    searches at each map's default sizes."""
+    """Every other run in the table: verifies and certificates at the
+    configured sizes, norm searches at each map's default sizes."""
     claims: list[Claim] = []
-    claims += lemma_claims(cfg)
-    claims += maps_claims(cfg)
-    claims += swapbc_claims(cfg)
-    claims += ks_claims(cfg)
-    for token, n_default in NORM_DEFAULT_N.items():
-        sub = dataclasses.replace(cfg, target=token, n_values=n_default)
-        claims += norm_claims(sub)
-    for which in CERTIFY_TARGETS:
-        sub = dataclasses.replace(cfg, target=which)
-        claims += certify_claims(sub)
+    for (command, target), runner in _RUNNERS.items():
+        if command != "suite":
+            n_values = NORM_DEFAULT_N[target] if command == "norm" else cfg.n_values
+            claims += runner(dataclasses.replace(cfg, command=command, target=target, n_values=n_values))
     return claims
 
 
+# every (command, target) pair the CLI accepts, with its runner; the suite
+# runs the others in this order
 _RUNNERS = {
     ("verify", "lemma"): lemma_claims,
     ("verify", "maps"): maps_claims,
     ("verify", "swapbc"): swapbc_claims,
     ("verify", "ks"): ks_claims,
+    **{("norm", token): norm_claims for token in NORM_DEFAULT_N},
+    **{("certify", which): certify_claims for which in _CERTIFY_FN},
+    ("suite", None): suite_claims,
 }
+
+
+def targets(command: str) -> list[str | None]:
+    """The targets of one command, in table order."""
+    return [t for c, t in _RUNNERS if c == command]
 
 
 def run(cfg: RunConfig) -> Report:
     """Execute a configuration and assemble the report."""
     start = time.perf_counter()
-    if cfg.command == "verify":
-        runner = _RUNNERS.get((cfg.command, cfg.target))
-        if runner is None:
-            raise ConfigError(f"verify target must be one of {VERIFY_TARGETS}, got {cfg.target!r}")
-        claims = runner(cfg)
-    elif cfg.command == "norm":
-        claims = norm_claims(cfg)
-    elif cfg.command == "certify":
-        claims = certify_claims(cfg)
-    elif cfg.command == "suite":
-        claims = suite_claims(cfg)
-    else:
-        raise ConfigError(f"unknown command {cfg.command!r}")
+    claims = _RUNNERS[(cfg.command, cfg.target)](cfg)
     duration = time.perf_counter() - start
-    config_echo = (
-        ("command", cfg.command),
-        ("field", cfg.field),
-        ("n_values", list(cfg.n_values)),
-        ("restarts", cfg.restarts),
-        ("seed", cfg.seed),
-        ("target", cfg.target),
-        ("trials", cfg.trials),
-    )
-    return Report(config=config_echo, claims=tuple(claims), duration_seconds=duration)
+    return Report(config=tuple(sorted(vars(cfg).items())), claims=tuple(claims), duration_seconds=duration)

@@ -1,6 +1,11 @@
 """Tests for the run configuration, report serialization and the CLI."""
 
+import importlib
+import importlib.util
+import inspect
 import json
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import opsyscheck.cli as cli
+from opsyscheck import certificates, suite
 from opsyscheck import (
     Claim,
     ConfigError,
@@ -36,6 +42,19 @@ def test_parse_n_values_errors():
     for bad in ("", "a", "3..1", "2,,4", "1..x"):
         with pytest.raises(ConfigError):
             parse_n_values(bad)
+
+
+def test_wide_size_range_is_refused_before_it_is_expanded():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError):
+            parse_n_values("1..1000000")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, f"peak {peak / 2**20:.1f} MiB"
+    with pytest.raises(ConfigError):
+        parse_n_values("0..3")
 
 
 def test_run_config_validation():
@@ -283,3 +302,92 @@ def test_norm_claim_ids_are_pinned(token):
         parts.append("bound-dominates")
     assert [c.id for c in r.claims] == [f"norm.{token}.n={n}.{part}" for n in (1, 2) for part in parts]
     assert all(c.status == "pass" for c in r.claims), [c.id for c in r.claims if c.status != "pass"]
+
+
+# the claim ids of each verify and certify target, written out from the
+# claim-building rules rather than read off the program; each lemma kind and
+# map in report order, with its field
+LEMMA_FIELDS = {
+    "transpose-paired": "real",
+    "transpose-paired-complex": "complex",
+    "free-corner": "complex",
+    "free-corner-real": "real",
+}
+MAP_FIELDS = {
+    "phi": "complex",
+    "upsilon": "real",
+    "upsilon-prime": "complex",
+    "gamma": "complex",
+    "psi-transpose": "complex",
+    "psi-real-ext": "real",
+}
+PINNED_N = (1, 2, 17)
+
+
+def _verify_ids(target, field):
+    ns = PINNED_N
+    if target == "lemma":
+        return [f"lemma.{kind}.n={n}.agreement" for kind, f in LEMMA_FIELDS.items() if field in ("both", f) for n in ns]
+    if target == "maps":
+        ids = []
+        for token in (t for t, f in MAP_FIELDS.items() if field in ("both", f)):
+            for n in ns:
+                last = "violation-found" if token == "psi-transpose" and n >= 2 else "positive-inputs"
+                ids += [f"maps.{token}.n={n}.structural", f"maps.{token}.n={n}.{last}"]
+        return ids
+    if target == "swapbc":
+        return [f"swapbc.n={n}.{part}" for n in ns for part in ("singular-values", "char-poly")]
+    ids = []
+    for n in ns:
+        ids += [f"ks.psi-transpose.free-corner.n={n}", f"ks.phi.trace-averaged.n={n}" + (".breaks" if n > 16 else "")]
+    return ids
+
+
+@pytest.mark.parametrize(
+    "target, field",
+    [("lemma", f) for f in ("both", "real", "complex")]
+    + [("maps", f) for f in ("both", "real", "complex")]
+    + [("swapbc", "both"), ("ks", "both")],
+)
+def test_verify_claim_ids_are_pinned(target, field):
+    cfg = RunConfig(command="verify", target=target, n_values=PINNED_N, field=field, trials=20, seed=0)
+    claims = run(cfg).claims
+    assert [c.id for c in claims] == _verify_ids(target, field)
+    assert all(c.status == "pass" for c in claims), [c.id for c in claims if c.status != "pass"]
+
+
+@pytest.mark.parametrize("which", ["phi", "upsilon", "gamma"])
+def test_certify_claim_ids_are_pinned(which):
+    ns = (1, 2, 16, 17)
+    claims = run(RunConfig(command="certify", target=which, n_values=ns, seed=0)).claims
+    expected = []
+    for n in ns:
+        contradiction = n >= 17 if which == "phi" else n >= 2
+        parts = ["outcome", "narrative"] + ["margin"] * contradiction
+        parts += ["final-witness"] * (contradiction and which == "gamma")
+        expected += [f"certify.{which}.n={n}.{part}" for part in parts]
+    assert [c.id for c in claims] == expected
+    assert all(c.status == "pass" for c in claims), [c.id for c in claims if c.status != "pass"]
+
+
+def test_benchmark_tracing_hooks_resolve():
+    # bench/tracing.py wraps these names from outside the package; a renamed
+    # or moved one would silently drop its spans to zero
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for module_name, attr, _, _ in tracing.TARGETS:
+        if module_name.split(".")[0] != "opsyscheck":
+            continue
+        owner = importlib.import_module(module_name)
+        for part in attr.split("."):
+            owner = getattr(owner, part)
+        assert callable(owner), f"{module_name}.{attr}"
+    # the tracer rebinds dispatch-table values that are the functions themselves
+    for table, module in ((suite._RUNNERS, suite), (suite._CERTIFY_FN, certificates)):
+        for key, fn in table.items():
+            assert getattr(module, getattr(fn, "__name__", ""), None) is fn, key
+    # the span label of the norm and certify sections reads the argument cfg
+    for fn in (suite.norm_claims, suite.certify_claims):
+        assert list(inspect.signature(fn).parameters) == ["cfg"], fn.__name__
