@@ -482,7 +482,9 @@ def estimate_map_norm(m: MapId, restarts: int = 50, rng_seed: int = 0) -> NormEs
             break
         # a stationary start ends its stage before stepping, at no evaluation
         flat = np.linalg.norm(g[live], axis=(1, 2)) <= _STATIONARY
-        done, live = live[flat], live[~flat]
+        ending = np.zeros(len(x), dtype=bool)
+        ending[live[flat]] = True
+        live = live[~flat]
         if live.size:
             y = x[live] + step[live, None, None] * g[live]
             y /= np.linalg.norm(y, axis=(1, 2), keepdims=True)
@@ -497,8 +499,9 @@ def estimate_map_norm(m: MapId, restarts: int = 50, rng_seed: int = 0) -> NormEs
             step[live[~up]] *= 0.25
             taken[live] += 1
             ended = (taken[live] >= _STAGE_STEPS) | (step[live] < _STAGE_END_STEP)
-            done = np.union1d(done, live[ended])
+            ending[live[ended]] = True
 
+        done = np.flatnonzero(ending)
         step[done[stage[done] == _P_STAGES - 1]] = 0.0
         done = done[stage[done] < _P_STAGES - 1]
         if done.size:

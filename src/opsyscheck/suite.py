@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
 import time
 
 import numpy as np
@@ -87,6 +88,36 @@ def _field_allows(cfg: RunConfig, f: Field) -> bool:
     return cfg.field == "both" or cfg.field == f.value
 
 
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _sweep_claims(sweep, jobs: list[tuple]) -> list[Claim]:
+    """The claims of sweep(*job) for each job, concatenated in job order,
+    with the jobs run on min(len(jobs), usable CPUs) threads.
+
+    The first exception a job raises, in job order, reaches the caller.
+    Each sweep draws from its own seeded generator and shares nothing with
+    the others, so the claims do not depend on the number of threads.  The
+    batched eigensolves and SVDs release the interpreter lock, so the
+    threads overlap there.
+    """
+    workers = min(len(jobs), _usable_cpus())
+    if workers <= 1:
+        results = [sweep(*job) for job in jobs]
+    else:
+        # imported here: a serial run need not pay the milliseconds it takes
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(workers) as pool:
+            results = list(pool.map(sweep, *zip(*jobs)))
+    return [c for claims in results for c in claims]
+
+
 def _claim(id: str, anchor: str, ok: bool, residual: float | None, witness: MatrixPayload | None = None) -> Claim:
     """The one place a check becomes a claim and its status is decided."""
     return Claim(id=id, anchor=anchor, status=STATUS_PASS if ok else STATUS_FAIL, residual=residual, witness=witness)
@@ -125,7 +156,8 @@ def _lemma_stack(s: SystemId, rng: np.random.Generator, start: int, k: int) -> t
     g = k - np.count_nonzero(t % 2)  # the probe and generic rows come first
     positive, _, verdict = systems._draw_positive_fields(s, rng, k - g)
     fields = systems._concat_fields(drawn + [positive])
-    kept = systems._margin_fields(s, fields) > MARGIN
+    spectrum = systems._spectrum_fields(s, fields)
+    kept = systems._margin_fields(s, fields, spectrum) > MARGIN
     solved = np.flatnonzero(kept[:g])
     oracle = np.concatenate(
         [
@@ -133,8 +165,31 @@ def _lemma_stack(s: SystemId, rng: np.random.Generator, start: int, k: int) -> t
             verdict.at(PSD_TOL)[kept[g:]],
         ]
     )
-    criterion = systems._criterion_fields(s, systems._rows(fields, kept))
+    criterion = systems._criterion_fields(
+        s, systems._rows(fields, kept), spectrum=tuple(value[kept] for value in spectrum)
+    )
     return int(np.count_nonzero(kept)), int(np.count_nonzero(oracle != criterion))
+
+
+def _lemma_sweep(cfg: RunConfig, kidx: int, kind: SystemKind, n: int) -> list[Claim]:
+    """The agreement claim of one (kind, n) lemma sweep."""
+    s = SystemId(kind, n)
+    rng = np.random.default_rng(_seed(cfg, 1, kidx, n))
+    disagreements = 0
+    checked = 0
+    for start, k in stack_chunks(cfg.trials, 2 * n):
+        kept, disagreed = _lemma_stack(s, rng, start, k)
+        checked += kept
+        disagreements += disagreed
+    return [
+        _claim(
+            f"lemma.{kind.token}.n={n}.agreement",
+            "closed-form positivity criterion agrees with the eigenvalue"
+            f" oracle on {checked} margin-filtered draws",
+            disagreements == 0,
+            float(disagreements),
+        )
+    ]
 
 
 def lemma_claims(cfg: RunConfig) -> list[Claim]:
@@ -142,168 +197,153 @@ def lemma_claims(cfg: RunConfig) -> list[Claim]:
 
     Each (kind, n) sweep starts with a boundary probe, then alternates
     generic and positive draws.  Draws, margin, criterion and oracle run
-    per stack of at most 2^15 matrix entries.
+    per stack of at most 2^15 matrix entries; the sweeps run as jobs of
+    ``_sweep_claims``.
     """
-    claims: list[Claim] = []
-    for kidx, kind in enumerate(LEMMA_KINDS):
-        if not _field_allows(cfg, kind.field):
-            continue
-        for n in cfg.n_values:
-            s = SystemId(kind, n)
-            rng = np.random.default_rng(_seed(cfg, 1, kidx, n))
-            disagreements = 0
-            checked = 0
-            for start, k in stack_chunks(cfg.trials, 2 * n):
-                kept, disagreed = _lemma_stack(s, rng, start, k)
-                checked += kept
-                disagreements += disagreed
-            claims.append(
-                _claim(
-                    f"lemma.{kind.token}.n={n}.agreement",
-                    "closed-form positivity criterion agrees with the eigenvalue"
-                    f" oracle on {checked} margin-filtered draws",
-                    disagreements == 0,
-                    float(disagreements),
-                )
-            )
-    return claims
+    jobs = [
+        (cfg, kidx, kind, n)
+        for kidx, kind in enumerate(LEMMA_KINDS)
+        if _field_allows(cfg, kind.field)
+        for n in cfg.n_values
+    ]
+    return _sweep_claims(_lemma_sweep, jobs)
+
+
+def _maps_sweep(cfg: RunConfig, kidx: int, kind: MapKind, n: int) -> list[Claim]:
+    """The structural and positivity claims of one (kind, n) map sweep."""
+    m = MapId(kind, n)
+    rep = maps.check_structural(m, trials=25, rng_seed=_seed(cfg, 2, kidx, n))
+    structural = _claim(
+        f"maps.{kind.token}.n={n}.structural",
+        "map is unital, self-adjointness-preserving and linear",
+        rep.passed,
+        max(rep.unital_residual, rep.self_adjoint_worst, rep.linear_worst),
+    )
+    prep = maps.check_positivity_preserving(m, trials=cfg.trials, rng_seed=_seed(cfg, 3, kidx, n))
+    if kind is MapKind.BLOCK_TRANSPOSE and n >= 2:
+        positivity = _claim(
+            f"maps.{kind.token}.n={n}.violation-found",
+            "full block transpose breaks positivity on a seeded PSD input, as it must",
+            prep.violation_count >= 1 and prep.min_output_eigenvalue <= -MARGIN,
+            prep.min_output_eigenvalue,
+            MatrixPayload.from_matrix(prep.violations[0].input) if prep.violations else None,
+        )
+    else:
+        positivity = _claim(
+            f"maps.{kind.token}.n={n}.positive-inputs",
+            f"no positivity violation across {prep.trials} seeded PSD inputs",
+            prep.violation_count == 0,
+            max(0.0, -prep.min_output_eigenvalue),
+        )
+    return [structural, positivity]
 
 
 def maps_claims(cfg: RunConfig) -> list[Claim]:
-    """Structure and positivity checks for all six maps."""
-    claims: list[Claim] = []
-    for kidx, kind in enumerate(MapKind):
-        if not _field_allows(cfg, kind.field):
-            continue
-        for n in cfg.n_values:
-            m = MapId(kind, n)
-            rep = maps.check_structural(m, trials=25, rng_seed=_seed(cfg, 2, kidx, n))
-            claims.append(
-                _claim(
-                    f"maps.{kind.token}.n={n}.structural",
-                    "map is unital, self-adjointness-preserving and linear",
-                    rep.passed,
-                    max(rep.unital_residual, rep.self_adjoint_worst, rep.linear_worst),
-                )
-            )
-            prep = maps.check_positivity_preserving(m, trials=cfg.trials, rng_seed=_seed(cfg, 3, kidx, n))
-            if kind is MapKind.BLOCK_TRANSPOSE and n >= 2:
-                claims.append(
-                    _claim(
-                        f"maps.{kind.token}.n={n}.violation-found",
-                        "full block transpose breaks positivity on a seeded PSD input, as it must",
-                        prep.violation_count >= 1 and prep.min_output_eigenvalue <= -MARGIN,
-                        prep.min_output_eigenvalue,
-                        MatrixPayload.from_matrix(prep.violations[0].input) if prep.violations else None,
-                    )
-                )
-            else:
-                claims.append(
-                    _claim(
-                        f"maps.{kind.token}.n={n}.positive-inputs",
-                        f"no positivity violation across {prep.trials} seeded PSD inputs",
-                        prep.violation_count == 0,
-                        max(0.0, -prep.min_output_eigenvalue),
-                    )
-                )
-    return claims
+    """Structure and positivity checks for all six maps, one job of
+    ``_sweep_claims`` per (kind, n)."""
+    jobs = [
+        (cfg, kidx, kind, n)
+        for kidx, kind in enumerate(MapKind)
+        if _field_allows(cfg, kind.field)
+        for n in cfg.n_values
+    ]
+    return _sweep_claims(_maps_sweep, jobs)
+
+
+def _swapbc_sweep(cfg: RunConfig, n: int) -> list[Claim]:
+    """The singular-value and characteristic-polynomial claims at one n."""
+    dev = maps.swap_bc_singular_check(n, trials=cfg.trials, rng_seed=_seed(cfg, 4, n))
+    rel = maps.char_poly_swap_check(
+        n,
+        instances=max(5, cfg.trials // 40),
+        lambdas=20,
+        rng_seed=_seed(cfg, 5, n),
+    )
+    return [
+        _claim(
+            f"swapbc.n={n}.singular-values",
+            "sorted singular values are invariant under trading the two scalar corners",
+            dev <= IDENTITY_TOL,
+            dev,
+        ),
+        _claim(
+            f"swapbc.n={n}.char-poly",
+            "det(M*M - lam I) is symmetric in the scalar corners and matches the reduced n x n evaluation",
+            rel <= 1e-8,
+            rel,
+        ),
+    ]
 
 
 def swapbc_claims(cfg: RunConfig) -> list[Claim]:
-    """Singular values and the characteristic polynomial ignore the b-c swap."""
-    claims: list[Claim] = []
-    for n in cfg.n_values:
-        dev = maps.swap_bc_singular_check(n, trials=cfg.trials, rng_seed=_seed(cfg, 4, n))
-        claims.append(
-            _claim(
-                f"swapbc.n={n}.singular-values",
-                "sorted singular values are invariant under trading the two scalar corners",
-                dev <= IDENTITY_TOL,
-                dev,
-            )
+    """Singular values and the characteristic polynomial ignore the b-c
+    swap; one job of ``_sweep_claims`` per n."""
+    return _sweep_claims(_swapbc_sweep, [(cfg, n) for n in cfg.n_values])
+
+
+def _ks_sweep(cfg: RunConfig, n: int) -> list[Claim]:
+    """The two Schwarz claims at one n, each sweep on its own generator."""
+    corner_sys = SystemId(SystemKind.FREE_CORNER, n)
+    corner_map = MapId(MapKind.CORNER_TRANSPOSE, n)
+    rng = np.random.default_rng(_seed(cfg, 6, n))
+    worst = 0.0
+    for _, k in stack_chunks(min(cfg.trials, 50), 2 * n):
+        # the displays' elements f, then the Schwarz inputs e
+        f = systems._draw_selfadjoint(corner_sys, rng, k)
+        e = systems._draw_selfadjoint(corner_sys, rng, k)
+        worst = max(worst, float(np.max(maps.corner_square_identities(f["A"], f["c"], f["d"].real))))
+        ks = maps.kadison_schwarz_check(corner_map, systems._embed_fields(corner_sys, e, (k,)))
+        worst = max(worst, float(np.max(np.abs(ks.defect_min_eigenvalue))))
+    corner = _claim(
+        f"ks.psi-transpose.free-corner.n={n}",
+        "block-square displays hold entrywise and the blockwise-transpose"
+        " candidate has zero Schwarz defect on the free-corner system",
+        worst <= MEMBERSHIP_TOL,
+        worst,
+    )
+
+    sd_sys = SystemId(SystemKind.SCALAR_DIAGONAL, n)
+    sd_map = MapId(MapKind.QUARTER_TRANSPOSE, n)
+    rng = np.random.default_rng(_seed(cfg, 7, n))
+    worst_defect = math.inf
+    for start, k in stack_chunks(min(cfg.trials, 100), 2 * n):
+        inputs = []
+        if start == 0 and n >= 2:
+            # structured probe: meets the threshold exactly where it breaks
+            B = np.zeros((1, n, n), dtype=np.complex128)
+            B[0, 0, 1] = 1.0
+            half = np.full(1, 0.5, dtype=np.complex128)
+            inputs.append({"a": half, "d": half, "B": B, "C": B.conj().swapaxes(-1, -2)})
+        inputs.append(systems._draw_selfadjoint(sd_sys, rng, k - len(inputs)))
+        fields = systems._concat_fields(inputs)
+        ks = maps.kadison_schwarz_check(sd_map, systems._embed_fields(sd_sys, fields, (k,)))
+        worst_defect = min(worst_defect, float(np.min(ks.defect_min_eigenvalue)))
+    if n <= 16:
+        quarter = _claim(
+            f"ks.phi.trace-averaged.n={n}",
+            "trace-averaged compression candidate satisfies the Schwarz inequality on self-adjoint inputs",
+            worst_defect >= -IDENTITY_TOL,
+            max(0.0, -worst_defect),
         )
-        rel = maps.char_poly_swap_check(
-            n,
-            instances=max(5, cfg.trials // 40),
-            lambdas=20,
-            rng_seed=_seed(cfg, 5, n),
+    else:
+        quarter = _claim(
+            f"ks.phi.trace-averaged.n={n}.breaks",
+            "above the threshold the compression candidate shows a"
+            " negative Schwarz defect, so it is no longer positive",
+            worst_defect <= -MARGIN,
+            worst_defect,
         )
-        claims.append(
-            _claim(
-                f"swapbc.n={n}.char-poly",
-                "det(M*M - lam I) is symmetric in the scalar corners and matches the reduced n x n evaluation",
-                rel <= 1e-8,
-                rel,
-            )
-        )
-    return claims
+    return [corner, quarter]
 
 
 def ks_claims(cfg: RunConfig) -> list[Claim]:
     """Schwarz-inequality behavior of the forced extension candidates.
 
     Self-adjoint elements are drawn, and the block-square displays and the
-    Schwarz defects checked, per stack of at most 2^15 matrix entries.
+    Schwarz defects checked, per stack of at most 2^15 matrix entries; one
+    job of ``_sweep_claims`` per n.
     """
-    claims: list[Claim] = []
-    for n in cfg.n_values:
-        corner_sys = SystemId(SystemKind.FREE_CORNER, n)
-        corner_map = MapId(MapKind.CORNER_TRANSPOSE, n)
-        rng = np.random.default_rng(_seed(cfg, 6, n))
-        worst = 0.0
-        for _, k in stack_chunks(min(cfg.trials, 50), 2 * n):
-            # the displays' elements f, then the Schwarz inputs e
-            f = systems._draw_selfadjoint(corner_sys, rng, k)
-            e = systems._draw_selfadjoint(corner_sys, rng, k)
-            worst = max(worst, float(np.max(maps.corner_square_identities(f["A"], f["c"], f["d"].real))))
-            ks = maps.kadison_schwarz_check(corner_map, systems._embed_fields(corner_sys, e, (k,)))
-            worst = max(worst, float(np.max(np.abs(ks.defect_min_eigenvalue))))
-        claims.append(
-            _claim(
-                f"ks.psi-transpose.free-corner.n={n}",
-                "block-square displays hold entrywise and the blockwise-transpose"
-                " candidate has zero Schwarz defect on the free-corner system",
-                worst <= MEMBERSHIP_TOL,
-                worst,
-            )
-        )
-
-        sd_sys = SystemId(SystemKind.SCALAR_DIAGONAL, n)
-        sd_map = MapId(MapKind.QUARTER_TRANSPOSE, n)
-        rng = np.random.default_rng(_seed(cfg, 7, n))
-        worst_defect = math.inf
-        for start, k in stack_chunks(min(cfg.trials, 100), 2 * n):
-            inputs = []
-            if start == 0 and n >= 2:
-                # structured probe: meets the threshold exactly where it breaks
-                B = np.zeros((1, n, n), dtype=np.complex128)
-                B[0, 0, 1] = 1.0
-                half = np.full(1, 0.5, dtype=np.complex128)
-                inputs.append({"a": half, "d": half, "B": B, "C": B.conj().swapaxes(-1, -2)})
-            inputs.append(systems._draw_selfadjoint(sd_sys, rng, k - len(inputs)))
-            fields = systems._concat_fields(inputs)
-            ks = maps.kadison_schwarz_check(sd_map, systems._embed_fields(sd_sys, fields, (k,)))
-            worst_defect = min(worst_defect, float(np.min(ks.defect_min_eigenvalue)))
-        if n <= 16:
-            claims.append(
-                _claim(
-                    f"ks.phi.trace-averaged.n={n}",
-                    "trace-averaged compression candidate satisfies the Schwarz inequality on self-adjoint inputs",
-                    worst_defect >= -IDENTITY_TOL,
-                    max(0.0, -worst_defect),
-                )
-            )
-        else:
-            claims.append(
-                _claim(
-                    f"ks.phi.trace-averaged.n={n}.breaks",
-                    "above the threshold the compression candidate shows a"
-                    " negative Schwarz defect, so it is no longer positive",
-                    worst_defect <= -MARGIN,
-                    worst_defect,
-                )
-            )
-    return claims
+    return _sweep_claims(_ks_sweep, [(cfg, n) for n in cfg.n_values])
 
 
 def norm_claims(cfg: RunConfig) -> list[Claim]:

@@ -633,12 +633,25 @@ def _corner_terms(s: SystemId, fields) -> tuple:
     return a, fields["b"], C, 0.0
 
 
-def _criterion_fields(s: SystemId, fields, tol: float = PSD_TOL):
+def _spectrum_fields(s: SystemId, fields) -> tuple:
+    """What the criterion and the margin read off a spectrum, per row of a
+    stack: (||K||,) of the corner on the scalar-cornered kinds, by one
+    batched SVD, or ``_corner_spectrum(A)`` on the free-corner kinds, by one
+    batched eigensolve.  A caller that needs both takes it once and hands
+    it to each."""
+    if s.kind in CORNER_KINDS:
+        return _corner_spectrum(fields["A"])
+    return (operator_norm(_corner_terms(s, fields)[2]),)
+
+
+def _criterion_fields(s: SystemId, fields, tol: float = PSD_TOL, spectrum: tuple | None = None):
     """The closed-form positivity criterion on field values: a bool per row
     of a stack (scalar fields of shape (k,), block fields (k, n, n)), or one
-    bool for one element's plain numbers and n x n blocks.  One batched SVD
-    gives ||K||, or one batched eigensolve lambda_min(A), for the whole
-    stack; it is skipped when the scalar checks refuse every row.
+    bool for one element's plain numbers and n x n blocks.  ``spectrum``,
+    from ``_spectrum_fields`` of the same rows, saves its SVD or
+    eigensolve; without it one batched SVD gives ||K||, or one batched
+    eigensolve lambda_min(A), for the whole stack, skipped when the scalar
+    checks refuse every row.
 
     Scalar-diagonal and paired shapes, [[a I, K], [L, b I]]: a and b real
     and nonneg, L = K*, and ||K|| <= sqrt(ab); when ab <= tol^2 the corner
@@ -657,21 +670,23 @@ def _criterion_fields(s: SystemId, fields, tol: float = PSD_TOL):
         # negative parts count as 0 (a NaN stays NaN)
         ab = _where(ar < 0.0, 0.0, ar) * _where(br < 0.0, 0.0, br)
         bound = _where(ab <= tol * tol, 0.0, np.sqrt(ab)) + tol
-        return _where(refused, False, operator_norm(K) <= bound)
+        (norm,) = spectrum or (operator_norm(K),)
+        return _where(refused, False, norm <= bound)
     A, b, d = fields["A"], fields["b"], fields["d"]
     dr = d.real
     refused = (_modulus(fields["c"] - b.conjugate()) > tol) | (abs(d.imag) > tol) | (dr < -tol)
     if _every(refused):  # False on every row, with no eigensolve
         return _where(refused, False, True)
-    defect, lam_min = _corner_spectrum(A)
+    defect, lam_min = spectrum or _corner_spectrum(A)
     holds = _where(dr <= tol, _modulus(b) <= tol, dr * lam_min >= _modulus(b) ** 2 - tol)
     return _where(refused | (defect > tol) | (lam_min < -tol), False, holds)
 
 
-def _margin_fields(s: SystemId, fields):
+def _margin_fields(s: SystemId, fields, spectrum: tuple | None = None):
     """Distance of field values from the decision boundaries of the
     criterion: a float per row of a stack, or one for one element's plain
-    numbers, with at most one batched SVD or eigensolve per stack.
+    numbers, with at most one batched SVD or eigensolve per stack, and none
+    when ``spectrum`` (``_spectrum_fields`` of the same rows) is given.
 
     Hermiticity defects contribute only when above EXACT_TOL (an exactly
     self-adjoint element is not near the self-adjointness boundary).
@@ -684,13 +699,14 @@ def _margin_fields(s: SystemId, fields):
         gap = math.inf
         if _any(both):
             root = np.sqrt(_where(both, ar * br, 0.0))
-            gap = _where(both, abs(root - operator_norm(K)), math.inf)
+            (norm,) = spectrum or (operator_norm(K),)
+            gap = _where(both, abs(root - norm), math.inf)
         parts = (abs(ar), abs(br), gap)
         defects = (abs(a.imag), abs(b.imag), defect)
     else:
         A, b, d = fields["A"], fields["b"], fields["d"]
         dr = d.real
-        defect, lam_min = _corner_spectrum(A)
+        defect, lam_min = spectrum or _corner_spectrum(A)
         defects = (_modulus(fields["c"] - b.conjugate()), defect, abs(d.imag))
         gap = _where((dr > 0) & (lam_min > 0), abs(dr * lam_min - _modulus(b) ** 2), math.inf)
         parts = (abs(lam_min), abs(dr), gap)

@@ -4,6 +4,8 @@ import importlib
 import importlib.util
 import inspect
 import json
+import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -391,3 +393,61 @@ def test_benchmark_tracing_hooks_resolve():
     # the span label of the norm and certify sections reads the argument cfg
     for fn in (suite.norm_claims, suite.certify_claims):
         assert list(inspect.signature(fn).parameters) == ["cfg"], fn.__name__
+
+
+# ---------------------------------------------------------------------------
+# The verify sweeps on threads.
+
+
+@pytest.mark.parametrize("target", ["lemma", "maps", "swapbc", "ks"])
+def test_verify_claims_do_not_depend_on_the_cpu_count(target, monkeypatch):
+    cfg = RunConfig(command="verify", target=target, n_values=(1, 2, 17), trials=50, seed=0)
+    arrays = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(suite, "_usable_cpus", lambda cpus=cpus: cpus)
+        arrays.append(claims_to_json(run(cfg).claims))
+    assert arrays[0] == arrays[1]
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize("jobs", [1, 2, 5])
+def test_sweep_jobs_start_no_more_threads_than_jobs_or_cpus(jobs, cpus, monkeypatch):
+    monkeypatch.setattr(suite, "_usable_cpus", lambda: cpus)
+    before = threading.active_count()
+    seen = []
+
+    def sweep(j):
+        seen.append((threading.get_ident(), threading.active_count()))
+        time.sleep(0.01)  # lets an idle pool start another thread if it would
+        return [j, -j]
+
+    got = suite._sweep_claims(sweep, [(j,) for j in range(jobs)])
+    assert got == [v for j in range(jobs) for v in (j, -j)]
+    workers = min(jobs, cpus)
+    idents = {ident for ident, _ in seen}
+    assert len(idents) <= workers
+    if workers == 1:  # serial, in the caller's thread
+        assert idents == {threading.get_ident()}
+    assert max(count for _, count in seen) <= before + (workers if workers > 1 else 0)
+
+
+def test_usable_cpus_follow_the_affinity_mask(monkeypatch):
+    monkeypatch.setattr(suite.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert suite._usable_cpus() == 1
+    monkeypatch.delattr(suite.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(suite.os, "cpu_count", lambda: 3)
+    assert suite._usable_cpus() == 3
+
+
+def test_an_error_inside_a_sweep_job_reaches_the_caller(monkeypatch):
+    monkeypatch.setattr(suite, "_usable_cpus", lambda: 2)
+    lemma_stack = suite._lemma_stack
+
+    def failing_stack(s, rng, start, k):
+        if s.n == 2:
+            raise NonFiniteError("matrix has NaN or infinite entries")
+        return lemma_stack(s, rng, start, k)
+
+    monkeypatch.setattr(suite, "_lemma_stack", failing_stack)
+    with pytest.raises(NonFiniteError):
+        run(RunConfig(command="verify", target="lemma", n_values=(1, 2, 17), trials=20, seed=0))

@@ -67,22 +67,24 @@ def test_map_rule_mutant_fails_its_family(name, mutated, monkeypatch):
 _CRITERION = systems._criterion_fields
 
 
-def _mean_criterion(s, fields, tol: float = PSD_TOL):
+def _mean_criterion(s, fields, tol: float = PSD_TOL, spectrum=None):
     """The stacked criterion with ||K|| <= (a + b)/2 in place of
-    ||K|| <= sqrt(ab) on the scalar-diagonal and paired shapes."""
+    ||K|| <= sqrt(ab) on the scalar-diagonal and paired shapes; it takes
+    its own SVD whether or not the caller hands it a spectrum."""
     if s.kind in systems.CORNER_KINDS:
-        return _CRITERION(s, fields, tol)
+        return _CRITERION(s, fields, tol, spectrum)
     a, b, K, defect = systems._corner_terms(s, fields)
     imaginary = np.maximum(np.maximum(np.abs(a.imag), np.abs(b.imag)), defect)
     refused = (imaginary > tol) | (np.minimum(a.real, b.real) < -tol)
     return ~refused & (np.linalg.svd(K, compute_uv=False)[..., 0] <= (a.real + b.real) / 2.0 + tol)
 
 
-def _corner_mean_criterion(s, fields, tol: float = PSD_TOL):
+def _corner_mean_criterion(s, fields, tol: float = PSD_TOL, spectrum=None):
     """The stacked criterion with |b| <= (d + lambda_min(A))/2 in place of
-    d lambda_min(A) >= |b|^2 on the free-corner shapes."""
+    d lambda_min(A) >= |b|^2 on the free-corner shapes; it takes its own
+    eigensolve whether or not the caller hands it a spectrum."""
     if s.kind not in systems.CORNER_KINDS:
-        return _CRITERION(s, fields, tol)
+        return _CRITERION(s, fields, tol, spectrum)
     A, b, c, d = fields["A"], fields["b"], fields["c"], fields["d"]
     adjoint = A.conj().swapaxes(-1, -2)
     lam_min = np.linalg.eigvalsh((A + adjoint) / 2.0)[..., 0]

@@ -58,6 +58,7 @@ from opsyscheck.systems import (
     _element_at,
     _embed_fields,
     _margin_fields,
+    _spectrum_fields,
     boundary_margin,
     contains,
     is_positive_by_criterion,
@@ -237,6 +238,10 @@ def test_stacked_criterion_and_margin_match_the_reference_rows(kind, n):
     criterion = _criterion_fields(s, fields)
     margin = _margin_fields(s, fields)
     assert criterion.shape == margin.shape == (k,)
+    # a spectrum taken once and handed to both changes no bit
+    spectrum = _spectrum_fields(s, fields)
+    assert _criterion_fields(s, fields, spectrum=spectrum).tolist() == criterion.tolist()
+    assert _bits(_margin_fields(s, fields, spectrum)) == _bits(margin)
     for j in range(k):
         e = _element_at(s, fields, j)
         expected = _reference_criterion(e)
