@@ -16,7 +16,6 @@ from .linalg import (
     block2x2,
     char_poly_block_eval,
     hermitian_eigenvalues,
-    hermitian_part_eigenvalues,
     hermiticity_defect,
     is_psd,
     matrix_unit,

@@ -34,8 +34,8 @@ from .linalg import (
     PSD_TOL,
     block2x2,
     hermitian_eigenvalues,
-    hermitian_part_eigenvalues,
     hermiticity_defect,
+    is_psd,
     matrix_unit,
     stack_chunks,
 )
@@ -96,9 +96,9 @@ def schur_implication(P, X, tol: float = PSD_TOL) -> SchurReport:
     X = np.asarray(X, dtype=np.complex128)
     n = P.shape[0]
     big = block2x2(P, X.conj().T, X, np.eye(n, dtype=np.complex128))
-    m_big = float(hermitian_part_eigenvalues(big)[0])
+    m_big = is_psd(big).min_eigenvalue
     comp = P - X.conj().T @ X
-    m_comp = float(hermitian_part_eigenvalues(comp)[0])
+    m_comp = is_psd(comp).min_eigenvalue
     b_ok = m_big >= -tol
     c_ok = m_comp >= -tol
     return SchurReport(
@@ -312,7 +312,7 @@ def lower_right_forcing_check(n: int) -> float:
     for D in _projection_stacks(n):
         lower, upper = squeeze_bounds(D)
         Dt = D.swapaxes(-1, -2)
-        feas_min = min(0.0, 2.0 * float(hermitian_part_eigenvalues(Dt)[:, 0].min()))
+        feas_min = min(0.0, 2.0 * float(is_psd(Dt).min_eigenvalue.min()))
         worst = max(worst, float(np.abs(lower - Dt).max()), float(np.abs(upper - Dt).max()), -feas_min)
     return worst
 

@@ -104,22 +104,24 @@ def hermiticity_defect(M) -> float | np.ndarray:
     """
     A = as_squares(M)
     _require_finite(A)
-    D = np.abs(A - _adjoint(A))
+    return _defect(A, _adjoint(A))
+
+
+def _defect(A: np.ndarray, H: np.ndarray) -> float | np.ndarray:
+    """max |A - H| over each matrix, with H the adjoint of A."""
+    D = np.abs(A - H)
     return float(D.max()) if D.ndim == 2 else D.max(axis=(-2, -1))
 
 
-def hermitian_part_eigenvalues(A: np.ndarray) -> np.ndarray:
-    """Eigenvalues of the Hermitian part (A + A*) / 2, ascending, of one
-    matrix or of each matrix of a stack.
-
-    Raises NonFiniteError on NaN or infinite entries.
-    """
+def _spectrum(M) -> tuple:
+    """(hermiticity defect, ascending eigenvalues of (A + A*) / 2) of one
+    matrix, or of each matrix of a stack by one batched eigensolve: the
+    package's one symmetrize-and-eigensolve.  NaN or infinite entries raise
+    NonFiniteError."""
+    A = as_squares(M)
     _require_finite(A)
-    return _eigvalsh_hermitian_part(A)
-
-
-def _eigvalsh_hermitian_part(A: np.ndarray) -> np.ndarray:
-    return np.linalg.eigvalsh((A + _adjoint(A)) / 2.0)
+    H = _adjoint(A)
+    return _defect(A, H), np.linalg.eigvalsh((A + H) / 2.0)
 
 
 def hermitian_eigenvalues(M) -> np.ndarray:
@@ -128,11 +130,10 @@ def hermitian_eigenvalues(M) -> np.ndarray:
     Uses the symmetric/Hermitian-specialized solver; refuses input whose
     hermiticity defect exceeds IDENTITY_TOL, and NaN or infinite entries.
     """
-    A = as_square(M)
-    defect = hermiticity_defect(A)
+    defect, eigenvalues = _spectrum(as_square(M))
     if defect > IDENTITY_TOL:
         raise NotHermitianError(f"hermiticity defect {defect:.3e} exceeds tol {IDENTITY_TOL:.3e}")
-    return _eigvalsh_hermitian_part(A)
+    return eigenvalues
 
 
 def singular_values(M) -> np.ndarray:
@@ -181,10 +182,9 @@ def is_psd(M, tol: float = PSD_TOL) -> PsdVerdict:
     come back as arrays over the leading axes, through one batched
     eigensolve.  A single matrix gets a bool and two floats.
     """
-    A = as_squares(M)
-    defect = hermiticity_defect(A)
-    min_eig = _eigvalsh_hermitian_part(A)[..., 0]
-    if A.ndim == 2:
+    defect, eigenvalues = _spectrum(M)
+    min_eig = eigenvalues[..., 0]
+    if min_eig.ndim == 0:
         min_eig = float(min_eig)
     return PsdVerdict(
         is_psd=_psd_decision(defect, min_eig, tol), min_eigenvalue=min_eig, hermiticity_defect=defect

@@ -45,10 +45,10 @@ from .linalg import (
     as_squares,
     block2x2,
     char_poly_block_eval,
-    hermitian_part_eigenvalues,
     hermiticity_defect,
     is_psd,
     operator_norm,
+    singular_values,
     stack_chunks,
 )
 from .systems import (
@@ -424,9 +424,10 @@ def estimate_map_norm(m: MapId, restarts: int = 50, rng_seed: int = 0) -> NormEs
     ratio has a ridge that plain gradient ascent zigzags on and stalls short
     of.  The ascent therefore climbs log ||map(X)||_p - log ||X||_p with
     Schatten exponents p = 16, 16^2, ..., 16^5, which tend to the operator
-    norm as p grows.  Its gradient comes from one Hermitian eigensolve of
-    the Gram matrices of X and of map(X), pulled back through the map and
-    projected onto the domain by ``systems.project`` (see ``_schatten``).
+    norm as p grows.  Its gradient comes from one batched Hermitian
+    eigensolve of the Gram matrices of X and of map(X), pulled back through
+    the map and projected onto the domain by ``systems.project`` (see
+    ``_schatten``).
 
     All starts ascend together as one (starts, 2n, 2n) stack of domain
     matrices, each on the Frobenius unit sphere: a step moves along the
@@ -463,13 +464,13 @@ def estimate_map_norm(m: MapId, restarts: int = 50, rng_seed: int = 0) -> NormEs
     def ascent(x: np.ndarray, stage: np.ndarray):
         """Ratio, objective and sphere-projected gradient at each matrix of x."""
         p = _P_BASE ** (stage + 1.0)
-        s, log_s, G = _schatten(x, p)
-        t, log_t, H = _schatten(_blockwise(m.kind, x), p)
+        k = len(x)
+        s, log_s, G = _schatten(np.concatenate([x, _blockwise(m.kind, x)]), np.tile(p, 2))
         # each map moves entries within their blocks and scales them by reals,
         # so it is its own adjoint under Re sum_jk X[j, k] Y[j, k]
-        g = project(dom, np.conj(_blockwise(m.kind, H) - G))
+        g = project(dom, np.conj(_blockwise(m.kind, G[k:]) - G[:k]))
         g -= np.sum((x.conj() * g).real, axis=(1, 2))[:, None, None] * x
-        return t / s, log_t - log_s, g
+        return s[k:] / s[:k], log_s[k:] - log_s[:k], g
 
     stage = np.zeros(len(x), dtype=int)
     ratio, f, g = ascent(x, stage)
@@ -644,9 +645,7 @@ def kadison_schwarz_check(m: MapId, x) -> SchwarzReport:
         evaluated = _blockwise(m.kind, Msq)
         candidate = "map-itself"
     FM = _blockwise(m.kind, M)
-    dmin = hermitian_part_eigenvalues(evaluated - FM @ FM)[..., 0]
-    if M.ndim == 2:
-        dmin = float(dmin)
+    dmin = is_psd(evaluated - FM @ FM).min_eigenvalue
     return SchwarzReport(defect_min_eigenvalue=dmin, holds=dmin >= -IDENTITY_TOL, candidate=candidate)
 
 
@@ -713,7 +712,7 @@ def swap_bc_singular_check(n: int, trials: int = 1000, rng_seed: int = 0) -> flo
         A, b, c, d = _draw_corner_tuple(n, rng, k)
         M = _embed_fields(s, {"A": A, "b": b, "c": c, "d": d}, (k,))
         N = _embed_fields(s, {"A": A, "b": c, "c": b, "d": d}, (k,))
-        dev = np.abs(np.linalg.svd(M, compute_uv=False) - np.linalg.svd(N, compute_uv=False)).max()
+        dev = np.abs(singular_values(M) - singular_values(N)).max()
         worst = max(worst, float(dev))
     return worst
 

@@ -41,10 +41,9 @@ from .linalg import (
     DimensionMismatchError,
     FieldMismatchError,
     PsdVerdict,
-    _eigvalsh_hermitian_part,
+    _spectrum,
     as_square,
     as_squares,
-    hermiticity_defect,
     is_psd,
     operator_norm,
 )
@@ -484,7 +483,7 @@ def _draw_positive_fields(
         live = ab != 0.0
         G = gaussian(np.count_nonzero(live), sd)
         K = np.zeros((k, n, n), dtype=G.dtype)
-        norms = np.linalg.svd(G, compute_uv=False)[:, 0]
+        norms = operator_norm(G)
         radius = rng.uniform(0.0, 1.0, len(G)) * np.sqrt(ab[live]) / np.maximum(norms, 1e-300)
         K[live] = G * radius[:, None, None]
         a, b = a.astype(s.field.dtype), b.astype(s.field.dtype)
@@ -606,10 +605,10 @@ def _any(condition) -> bool:
 
 def _corner_spectrum(A) -> tuple:
     """(||A - A*||_max, lambda_min of the Hermitian part) of each matrix of a
-    stack, or two floats for one matrix.  NaN or infinite entries raise
-    NonFiniteError from the defect, which checks them once for both."""
-    defect = hermiticity_defect(A)
-    lam_min = _eigvalsh_hermitian_part(A)[..., 0]
+    stack, or two floats for one matrix, off ``linalg._spectrum`` with no
+    verdict built.  NaN or infinite entries raise NonFiniteError."""
+    defect, eigenvalues = _spectrum(A)
+    lam_min = eigenvalues[..., 0]
     return defect, (lam_min if lam_min.ndim else float(lam_min))
 
 

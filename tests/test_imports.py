@@ -1,5 +1,5 @@
-"""Every module of the package uses each name it imports, and none
-assembles blocks with ``np.block``."""
+"""Every module of the package uses each name it imports, none assembles
+blocks with ``np.block``, and only ``linalg`` calls ``np.linalg.svd``."""
 
 import ast
 from pathlib import Path
@@ -61,3 +61,30 @@ def test_no_np_block(module):
 def test_guard_flags_np_block():
     source = "import numpy as np\n\nM = np.block([[a, b], [c, d]])\nN = np.blocks(a)\nP = block(a)\n"
     assert _np_block_calls(source) == [3]
+
+
+def _svd_calls(source: str) -> list[int]:
+    """Lines that call ``np.linalg.svd`` or ``numpy.linalg.svd``."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "svd"
+        and isinstance(node.func.value, ast.Attribute)
+        and node.func.value.attr == "linalg"
+        and isinstance(node.func.value.value, ast.Name)
+        and node.func.value.value.id in ("np", "numpy")
+    ]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "linalg.py"))
+def test_no_svd_outside_linalg(module):
+    # singular values come through linalg.singular_values and operator_norm
+    lines = _svd_calls((PACKAGE / module).read_text())
+    assert not lines, ", ".join(f"{module}:{line} np.linalg.svd" for line in lines)
+
+
+def test_guard_flags_svd():
+    source = "import numpy as np\n\ns = np.linalg.svd(M)\nt = svd(M)\nu = np.svd(M)\nv = scipy.linalg.svd(M)\n"
+    assert _svd_calls(source) == [3]

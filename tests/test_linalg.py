@@ -17,6 +17,7 @@ from opsyscheck import (
     operator_norm,
     singular_values,
 )
+from opsyscheck.systems import _corner_spectrum
 
 
 def test_matrix_unit_entries():
@@ -55,14 +56,48 @@ def test_hermitian_eigenvalues_rejects_non_hermitian():
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
 def test_eigenchecks_reject_non_finite(bad):
     """NaN or inf reaches neither a defect, an eigenvalue nor a PSD verdict,
-    and is refused before any arithmetic on it."""
+    on one matrix or in any row of a stack, and is refused before any
+    arithmetic on it."""
     M = np.array([[bad, 0.0], [0.0, 1.0]])
     with pytest.raises(NonFiniteError):
-        hermiticity_defect(M)
-    with pytest.raises(NonFiniteError):
         hermitian_eigenvalues(M)
-    with pytest.raises(NonFiniteError):
-        is_psd(M)
+    for X in (M, np.stack([np.eye(2), M])):
+        for check in (hermiticity_defect, is_psd, _corner_spectrum):
+            with pytest.raises(NonFiniteError):
+                check(X)
+
+
+def _bits(x) -> bytes:
+    return np.ascontiguousarray(x, dtype=np.float64).tobytes()
+
+
+@pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("lead", [(), (6,), (2, 3)], ids=["single", "stack", "stack-2d"])
+def test_spectral_entry_points_equal_one_direct_eigensolve(lead, cplx):
+    """is_psd, hermitian_eigenvalues and the free-corner criterion's
+    spectrum give the defect max |A - A*| and the eigenvalues of
+    (A + A*) / 2 exactly as one direct eigensolve does."""
+    rng = np.random.default_rng(len(lead) + 3 * cplx)
+    A = rng.normal(size=lead + (4, 4))
+    if cplx:
+        A = A + 1j * rng.normal(size=A.shape)
+    adjoint = A.conj().swapaxes(-1, -2)
+    defect = np.abs(A - adjoint).max(axis=(-2, -1))
+    eigenvalues = np.linalg.eigvalsh((A + adjoint) / 2.0)
+
+    verdict = is_psd(A)
+    assert _bits(verdict.hermiticity_defect) == _bits(defect)
+    assert _bits(verdict.min_eigenvalue) == _bits(eigenvalues[..., 0])
+    corner_defect, lam_min = _corner_spectrum(A)
+    assert _bits(corner_defect) == _bits(defect)
+    assert _bits(lam_min) == _bits(eigenvalues[..., 0])
+    if not lead:
+        assert type(verdict.min_eigenvalue) is float and type(lam_min) is float
+
+    # hermitian_eigenvalues takes one matrix within IDENTITY_TOL of Hermitian
+    near = (A + adjoint) / 2.0 + 1e-12 * A
+    for X in near.reshape((-1, 4, 4)):
+        assert _bits(hermitian_eigenvalues(X)) == _bits(np.linalg.eigvalsh((X + X.conj().T) / 2.0))
 
 
 def test_hermiticity_defect_values():

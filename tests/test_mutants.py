@@ -46,6 +46,12 @@ MAP_MUTANTS = {
         dict(runner=suite.ks_claims, command="verify", target="ks", n_values=(2,), trials=100),
         "ks.psi-transpose.free-corner.n=2",
     ),
+    "psi-real-ext": (
+        MapKind.CORNER_TRANSPOSE_FULL,
+        {(0, 0): 1.0, (0, 1): 1.0, (1, 0): 1.0},
+        dict(runner=suite.maps_claims, command="verify", target="maps", n_values=(2,), trials=100, field="real"),
+        "maps.psi-real-ext.n=2.positive-inputs",
+    ),
     "upsilon-prime-identity": (
         MapKind.OFFDIAG_SWAP_COMPLEX,
         {},

@@ -22,7 +22,6 @@ from opsyscheck.linalg import (
     PSD_TOL,
     as_squares,
     char_poly_block_eval,
-    hermitian_part_eigenvalues,
     hermiticity_defect,
     is_psd,
     operator_norm,
@@ -107,7 +106,7 @@ def _reference_criterion(e, tol: float = PSD_TOL) -> bool:
     dr = d.real
     if dr < -tol:
         return False
-    lam_min = float(hermitian_part_eigenvalues(A)[0])
+    lam_min = is_psd(A).min_eigenvalue
     if lam_min < -tol:
         return False
     if dr <= tol:
@@ -128,7 +127,7 @@ def _reference_margin(e) -> float:
         return min(min(parts), herm_margin([abs(a.imag), abs(b.imag), defect]))
     A, b, c, d = e.A, complex(e.b), complex(e.c), complex(e.d)
     hm = herm_margin([abs(c - np.conj(b)), hermiticity_defect(A), abs(d.imag)])
-    lam_min = float(hermitian_part_eigenvalues(A)[0])
+    lam_min = is_psd(A).min_eigenvalue
     parts = [abs(lam_min), abs(d.real)]
     if d.real > 0 and lam_min > 0:
         parts.append(abs(d.real * lam_min - abs(b) ** 2))
