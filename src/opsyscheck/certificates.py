@@ -32,6 +32,7 @@ from .linalg import (
     MARGIN,
     MEMBERSHIP_TOL,
     PSD_TOL,
+    as_square,
     block2x2,
     hermitian_eigenvalues,
     hermiticity_defect,
@@ -91,11 +92,13 @@ class SchurReport:
 
 
 def schur_implication(P, X, tol: float = PSD_TOL) -> SchurReport:
-    """Eigencheck both sides of the Schur-complement equivalence."""
-    P = np.asarray(P, dtype=np.complex128)
-    X = np.asarray(X, dtype=np.complex128)
+    """Eigencheck both sides of the Schur-complement equivalence, over the
+    field of P and X: real when both are real, complex when either is."""
+    P, X = as_square(P, "P"), as_square(X, "X")
+    field = np.result_type(P, X)
+    P, X = P.astype(field, copy=False), X.astype(field, copy=False)
     n = P.shape[0]
-    big = block2x2(P, X.conj().T, X, np.eye(n, dtype=np.complex128))
+    big = block2x2(P, X.conj().T, X, np.eye(n, dtype=field))
     m_big = is_psd(big).min_eigenvalue
     comp = P - X.conj().T @ X
     m_comp = is_psd(comp).min_eigenvalue

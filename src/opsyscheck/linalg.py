@@ -108,7 +108,11 @@ def hermiticity_defect(M) -> float | np.ndarray:
 
 
 def _defect(A: np.ndarray, H: np.ndarray) -> float | np.ndarray:
-    """max |A - H| over each matrix, with H the adjoint of A."""
+    """max |A - H| over each matrix, with H the adjoint of A: exactly 0,
+    with no pass over A - H, when the matrix or the whole stack equals its
+    adjoint."""
+    if np.array_equal(A, H):
+        return 0.0 if A.ndim == 2 else np.zeros(A.shape[:-2])
     D = np.abs(A - H)
     return float(D.max()) if D.ndim == 2 else D.max(axis=(-2, -1))
 
@@ -116,12 +120,14 @@ def _defect(A: np.ndarray, H: np.ndarray) -> float | np.ndarray:
 def _spectrum(M) -> tuple:
     """(hermiticity defect, ascending eigenvalues of (A + A*) / 2) of one
     matrix, or of each matrix of a stack by one batched eigensolve: the
-    package's one symmetrize-and-eigensolve.  NaN or infinite entries raise
-    NonFiniteError."""
+    package's one symmetrize-and-eigensolve.  A matrix or stack that equals
+    its adjoint is its own Hermitian part and is eigensolved as it is.  NaN
+    or infinite entries raise NonFiniteError."""
     A = as_squares(M)
     _require_finite(A)
     H = _adjoint(A)
-    return _defect(A, H), np.linalg.eigvalsh((A + H) / 2.0)
+    defect = _defect(A, H)
+    return defect, np.linalg.eigvalsh((A + H) / 2.0 if np.any(defect) else A)
 
 
 def hermitian_eigenvalues(M) -> np.ndarray:

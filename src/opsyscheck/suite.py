@@ -362,7 +362,8 @@ def norm_claims(cfg: RunConfig) -> list[Claim]:
         expected = 2.0 / math.sqrt(3.0) if token == "upsilon-prime" and n > 1 else 1.0
         gap = abs(est.lower_bound - expected)
         wn = operator_norm(est.witness)
-        img = operator_norm(maps.apply(m, est.witness))
+        # by the Gram eigensolve, not the SVD that gave the lower bound
+        img = float(maps._spectral_norms(maps.apply(m, est.witness)))
         over = max(0.0, est.lower_bound - expected)
         claims += [
             _claim(

@@ -20,6 +20,8 @@ from opsyscheck import (
     squeeze_bounds,
     verify_verdict_invariants,
 )
+from opsyscheck import certificates
+from opsyscheck.linalg import PSD_TOL
 
 
 def test_schur_implication_agrees_both_ways():
@@ -42,6 +44,40 @@ def test_schur_implication_detects_failure():
     assert not rep.block_psd
     assert not rep.complement_psd
     assert rep.agrees
+
+
+def test_schur_implication_keeps_the_field(monkeypatch):
+    """Real P and X are eigensolved over the reals; either one complex
+    promotes both sides of the step to complex."""
+    eigvalsh = np.linalg.eigvalsh
+    fields = []
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda X: fields.append(X.dtype) or eigvalsh(X))
+    P = np.eye(2)
+    X = np.array([[0.0, 0.25], [0.0, 0.0]])
+    for P_in, X_in, field in (
+        (P, X, np.float64),
+        (np.eye(2, dtype=int), X, np.float64),
+        (P, X.astype(np.complex128), np.complex128),
+        (P.astype(np.complex128), X, np.complex128),
+    ):
+        fields.clear()
+        rep = schur_implication(P_in, X_in)
+        assert fields == [field, field]
+        assert rep.block_psd and rep.complement_psd
+
+
+def _complex_schur(P, X, tol=PSD_TOL):
+    """The Schur step with both sides forced to complex128."""
+    return schur_implication(np.asarray(P, dtype=np.complex128), np.asarray(X, dtype=np.complex128), tol)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 5, 16, 17])
+def test_real_schur_steps_match_a_complex_reference(n, monkeypatch):
+    verdicts = [fn(n) for fn in (certify_quarter_transpose, certify_offdiag_swap)]
+    monkeypatch.setattr(certificates, "schur_implication", _complex_schur)
+    for v, ref in zip(verdicts, (certify_quarter_transpose(n), certify_offdiag_swap(n))):
+        assert (v.outcome, v.threshold_used, v.margin) == (ref.outcome, ref.threshold_used, ref.margin)
+        assert [s.residual for s in v.narrative] == [s.residual for s in ref.narrative]
 
 
 @pytest.mark.parametrize("n", range(1, 21))

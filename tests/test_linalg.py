@@ -73,31 +73,53 @@ def _bits(x) -> bytes:
 
 @pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
 @pytest.mark.parametrize("lead", [(), (6,), (2, 3)], ids=["single", "stack", "stack-2d"])
-def test_spectral_entry_points_equal_one_direct_eigensolve(lead, cplx):
-    """is_psd, hermitian_eigenvalues and the free-corner criterion's
-    spectrum give the defect max |A - A*| and the eigenvalues of
-    (A + A*) / 2 exactly as one direct eigensolve does."""
+def test_spectral_entry_points_equal_one_direct_eigensolve(lead, cplx, monkeypatch):
+    """hermiticity_defect, is_psd, hermitian_eigenvalues and the free-corner
+    criterion's spectrum give the defect max |A - A*| and the eigenvalues
+    of (A + A*) / 2 exactly as one direct eigensolve does: on a generic
+    input, on an exactly self-adjoint one (defect exactly 0, eigensolved as
+    it is) and, on stacks, on one whose first row alone is self-adjoint."""
     rng = np.random.default_rng(len(lead) + 3 * cplx)
     A = rng.normal(size=lead + (4, 4))
     if cplx:
         A = A + 1j * rng.normal(size=A.shape)
-    adjoint = A.conj().swapaxes(-1, -2)
-    defect = np.abs(A - adjoint).max(axis=(-2, -1))
-    eigenvalues = np.linalg.eigvalsh((A + adjoint) / 2.0)
+    S = (A + A.conj().swapaxes(-1, -2)) / 2.0
+    inputs = [A, S]
+    if lead:
+        mixed = A.copy()
+        mixed.reshape((-1, 4, 4))[0] = S.reshape((-1, 4, 4))[0]
+        inputs.append(mixed)
 
-    verdict = is_psd(A)
-    assert _bits(verdict.hermiticity_defect) == _bits(defect)
-    assert _bits(verdict.min_eigenvalue) == _bits(eigenvalues[..., 0])
-    corner_defect, lam_min = _corner_spectrum(A)
-    assert _bits(corner_defect) == _bits(defect)
-    assert _bits(lam_min) == _bits(eigenvalues[..., 0])
-    if not lead:
-        assert type(verdict.min_eigenvalue) is float and type(lam_min) is float
+    eigvalsh = np.linalg.eigvalsh
+    solved = []
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda X: solved.append(X) or eigvalsh(X))
+    for X in inputs:
+        adjoint = X.conj().swapaxes(-1, -2)
+        defect = np.abs(X - adjoint).max(axis=(-2, -1))
+        eigenvalues = eigvalsh((X + adjoint) / 2.0)
+
+        assert _bits(hermiticity_defect(X)) == _bits(defect)
+        verdict = is_psd(X)
+        assert _bits(verdict.hermiticity_defect) == _bits(defect)
+        assert _bits(verdict.min_eigenvalue) == _bits(eigenvalues[..., 0])
+        corner_defect, lam_min = _corner_spectrum(X)
+        assert _bits(corner_defect) == _bits(defect)
+        assert _bits(lam_min) == _bits(eigenvalues[..., 0])
+        if not lead:
+            assert type(verdict.min_eigenvalue) is float and type(lam_min) is float
+            assert type(verdict.hermiticity_defect) is float
+        if X is not S:
+            # every row of A has a nonzero defect; the mixed stack's first has none
+            assert np.count_nonzero(defect) == defect.size - (X is not A)
+
+    # the self-adjoint input reaches the eigensolver itself, with no copy
+    assert [X is S for X in solved] == [False, False, True, True] + [False, False] * bool(lead)
+    assert not np.any(hermiticity_defect(S))
 
     # hermitian_eigenvalues takes one matrix within IDENTITY_TOL of Hermitian
-    near = (A + adjoint) / 2.0 + 1e-12 * A
+    near = S + 1e-12 * A
     for X in near.reshape((-1, 4, 4)):
-        assert _bits(hermitian_eigenvalues(X)) == _bits(np.linalg.eigvalsh((X + X.conj().T) / 2.0))
+        assert _bits(hermitian_eigenvalues(X)) == _bits(eigvalsh((X + X.conj().T) / 2.0))
 
 
 def test_hermiticity_defect_values():

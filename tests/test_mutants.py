@@ -1,11 +1,14 @@
 """Mutation checks: each mutant of a map's rule, of the closed-form
-positivity criterion, of the scaling certificates' summed bound or of the
-squeeze bounds makes a claim of its own family fail.
+positivity criterion, of the scaling certificates' summed bound, of the
+squeeze bounds or of the norm search's reported bound makes a claim of its
+own family fail.
 
 A mutant is installed with ``monkeypatch`` for one test only; nothing in the
 package switches it on.  Each configuration also runs unmutated, where the
 same claims pass, so every failure is the mutant's doing.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -153,3 +156,23 @@ def test_untransposed_squeeze_mutant_fails_its_family(mutated, monkeypatch):
         monkeypatch.setattr(certificates, "squeeze_bounds", _untransposed_squeeze)
     got = statuses(**certify("gamma", 2))
     assert got["certify.gamma.n=2.narrative"] == ("fail" if mutated else "pass")
+
+
+_SEARCH = maps.estimate_map_norm
+
+
+def _inflated_search(m, restarts=50, rng_seed=0):
+    """The norm search with its reported bound 1e-7 above its witness's
+    image norm: within the lower-bound claim's tolerance, beyond the image
+    norm's."""
+    est = _SEARCH(m, restarts=restarts, rng_seed=rng_seed)
+    return dataclasses.replace(est, lower_bound=est.lower_bound + 1e-7)
+
+
+@pytest.mark.parametrize("mutated", [False, True], ids=["original", "mutant"])
+def test_inflated_norm_bound_mutant_fails_image_norm(mutated, monkeypatch):
+    if mutated:
+        monkeypatch.setattr(maps, "estimate_map_norm", _inflated_search)
+    got = statuses(suite.norm_claims, command="norm", target="upsilon", n_values=(2,), restarts=6)
+    assert got["norm.upsilon.n=2.lower-bound"] == "pass"
+    assert got["norm.upsilon.n=2.image-norm"] == ("fail" if mutated else "pass")
