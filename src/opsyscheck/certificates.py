@@ -113,11 +113,6 @@ def schur_implication(P, X, tol: float = PSD_TOL) -> SchurReport:
     )
 
 
-def _paired_unit_certificate(n: int, i: int, j: int) -> np.ndarray:
-    """The PSD certificate [[E_ii, E_ij], [E_ji, I]]."""
-    return block2x2(matrix_unit(n, i, i), matrix_unit(n, i, j), matrix_unit(n, j, i), np.eye(n))
-
-
 def _subsystem_part(n: int, i: int, j: int) -> np.ndarray:
     """[[0, E_ij], [E_ji, I]]: the part of the certificate [[E_ii, E_ij],
     [E_ji, I]] that lies in the map's domain."""
@@ -133,11 +128,11 @@ def _forced_corner(m: MapId, S: np.ndarray) -> np.ndarray:
 def _corner_forcing_steps(m: MapId) -> tuple[list[Step], np.ndarray]:
     """Shared narrative core of the two corner-scaling certificates.
 
-    Verifies: the certificates are PSD, they decompose as a PSD diagonal
-    part plus a subspace part S whose image the map gives, and the Schur
-    step turns each forced corner X_ij (see ``_forced_corner``) into the
-    lower bound X_ij* X_ij on the upper-left value.  Returns the steps and
-    the summed bound sum_i X_i1* X_i1.
+    Each certificate is built as a diagonal part D plus a subspace part S
+    whose image the map gives.  Verifies: the certificates and each D are
+    PSD, and the Schur step turns each forced corner X_ij (see
+    ``_forced_corner``) into the lower bound X_ij* X_ij on the upper-left
+    value.  Returns the steps and the summed bound sum_i X_i1* X_i1.
     """
     n = m.n
     r_psd = 0.0
@@ -150,10 +145,11 @@ def _corner_forcing_steps(m: MapId) -> tuple[list[Step], np.ndarray]:
         D = block2x2(matrix_unit(n, i, i), np.zeros((n, n)), np.zeros((n, n)), np.zeros((n, n)))
         r_decomp = max(r_decomp, abs(min(float(hermitian_eigenvalues(D)[0]), 0.0)))
         for j in range(1, n + 1):
-            Q = _paired_unit_certificate(n, i, j)
-            r_psd = max(r_psd, abs(float(hermitian_eigenvalues(Q)[0])))
+            # the certificate [[E_ii, E_ij], [E_ji, I]] as the split it is
+            # built from; its entries are 0 or 1, so the sum is exact
             S = _subsystem_part(n, i, j)
-            r_decomp = max(r_decomp, float(np.abs(Q - D - S).max()))
+            Q = D + S
+            r_psd = max(r_psd, abs(float(hermitian_eigenvalues(Q)[0])))
             X = _forced_corner(m, S)
             P = X.conj().T @ X
             rep = schur_implication(P, X, tol=MEMBERSHIP_TOL)
@@ -404,12 +400,13 @@ def certify_corner_transpose(n: int) -> Verdict:
     in_eigs = hermitian_eigenvalues(W)
     r_in = max(abs(float(in_eigs[-1]) - 2.0), float(np.abs(in_eigs[:-1]).max()))
     out = block_transpose(W)
-    out_eigs = hermitian_eigenvalues(out)
-    min_out = float(out_eigs[0])
+    # an image that is not self-adjoint fails the step by its defect, not by raising
+    image = is_psd(out)
+    min_out = image.min_eigenvalue
     step5 = Step(
         "the forced blockwise transpose sends the rank-one corner witness"
         " (eigenvalues {2, 0}) to a matrix with eigenvalue -1",
-        max(r_in, abs(min_out + 1.0)),
+        max(r_in, abs(min_out + 1.0), image.hermiticity_defect),
         MEMBERSHIP_TOL,
     )
 

@@ -53,9 +53,9 @@ def parse_n_values(text: str) -> tuple[int, ...]:
 
 def _add_shared(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", help="block sizes, e.g. 4, 2..8 or 1,2,4")
-    p.add_argument("--field", choices=["real", "complex", "both"], default="both")
-    p.add_argument("--trials", type=int, default=500)
-    p.add_argument("--restarts", type=int, default=50)
+    p.add_argument("--field", choices=["real", "complex", "both"], default=RunConfig.field)
+    p.add_argument("--trials", type=int, default=RunConfig.trials)
+    p.add_argument("--restarts", type=int, default=RunConfig.restarts)
     p.add_argument("--seed", type=int, default=None, help="overrides OPSYS_SEED")
     p.add_argument("--output", choices=["text", "json", "csv"], default="text")
     p.add_argument("--output-path", default=None)

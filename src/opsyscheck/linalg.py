@@ -104,16 +104,16 @@ def hermiticity_defect(M) -> float | np.ndarray:
     """
     A = as_squares(M)
     _require_finite(A)
-    return _defect(A, _adjoint(A))
+    return _deviation(A, _adjoint(A))
 
 
-def _defect(A: np.ndarray, H: np.ndarray) -> float | np.ndarray:
-    """max |A - H| over each matrix, with H the adjoint of A: exactly 0,
-    with no pass over A - H, when the matrix or the whole stack equals its
-    adjoint."""
-    if np.array_equal(A, H):
+def _deviation(A: np.ndarray, B: np.ndarray) -> float | np.ndarray:
+    """max |A - B| over each matrix, a float for one pair and an array for
+    a pair of stacks; exactly 0, with no pass over A - B, when the two are
+    equal as a whole.  The hermiticity defect and the map residuals share it."""
+    if np.array_equal(A, B):
         return 0.0 if A.ndim == 2 else np.zeros(A.shape[:-2])
-    D = np.abs(A - H)
+    D = np.abs(A - B)
     return float(D.max()) if D.ndim == 2 else D.max(axis=(-2, -1))
 
 
@@ -126,7 +126,7 @@ def _spectrum(M) -> tuple:
     A = as_squares(M)
     _require_finite(A)
     H = _adjoint(A)
-    defect = _defect(A, H)
+    defect = _deviation(A, H)
     return defect, np.linalg.eigvalsh((A + H) / 2.0 if np.any(defect) else A)
 
 

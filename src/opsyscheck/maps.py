@@ -40,6 +40,7 @@ from .linalg import (
     PSD_TOL,
     DimensionMismatchError,
     _adjoint,
+    _deviation,
     _require_finite,
     as_square,
     as_squares,
@@ -185,11 +186,6 @@ def _random_domain_matrices(m: MapId, rng: np.random.Generator, k: int) -> np.nd
     return _embed_fields(dom, _draw_fields(dom, rng, 1.0, k), (k,))
 
 
-def _deviations(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Largest entrywise deviation between each pair of matrices of two stacks."""
-    return np.abs(X - Y).max(axis=(-2, -1))
-
-
 @dataclasses.dataclass(frozen=True)
 class StructuralReport:
     """Residuals for unitality, self-adjointness and linearity."""
@@ -210,9 +206,10 @@ def check_structural(m: MapId, trials: int = 25, rng_seed: int = 0) -> Structura
     apply(M^t) = apply(M)^t over the real field.  Failures are counted and
     reported, never raised; a residual above IDENTITY_TOL is a failure.
 
-    The trials run in stacks of at most 2^15 matrix entries: each stack
-    draws its matrices M, then N, then the coefficient pairs (alpha, beta)
-    of the linearity check, and applies the map once per stack and operand.
+    The trials run in stacks of at most ``linalg.STACK_ENTRIES`` matrix
+    entries: each stack draws its matrices M, then N, then the coefficient
+    pairs (alpha, beta) of the linearity check, and applies the map once per
+    stack and operand.
     """
     rng = np.random.default_rng(rng_seed)
     n2 = 2 * m.n
@@ -232,10 +229,10 @@ def check_structural(m: MapId, trials: int = 25, rng_seed: int = 0) -> Structura
             coef = rng.normal(size=(k, 2))
         alpha, beta = coef[:, 0, None, None], coef[:, 1, None, None]
         FM, FN = apply(m, M), apply(m, N)
-        r = _deviations(apply(m, _adjoint(M)), _adjoint(FM))
+        r = _deviation(apply(m, _adjoint(M)), _adjoint(FM))
         sa_worst = max(sa_worst, float(r.max()))
         sa_fail += int(np.count_nonzero(r > IDENTITY_TOL))
-        r = _deviations(apply(m, alpha * M + beta * N), alpha * FM + beta * FN)
+        r = _deviation(apply(m, alpha * M + beta * N), alpha * FM + beta * FN)
         lin_worst = max(lin_worst, float(r.max()))
         lin_fail += int(np.count_nonzero(r > IDENTITY_TOL))
 
@@ -315,8 +312,9 @@ def check_positivity_preserving(m: MapId, trials: int = 1000, rng_seed: int = 0)
     witness, so its violation is found deterministically.  At most 16
     violations are stored, the first ones in trial order; all are counted.
 
-    The trials run in stacks of at most 2^15 matrix entries: each stack is
-    drawn, applied and eigenchecked at once (see ``_positive_samples``).
+    The trials run in stacks of at most ``linalg.STACK_ENTRIES`` matrix
+    entries: each stack is drawn, applied and eigenchecked at once (see
+    ``_positive_samples``).
     """
     rng = np.random.default_rng(rng_seed)
     violations: list[PositivityViolation] = []
@@ -528,9 +526,7 @@ def offdiag_swap_norm_bound(a, b, C) -> float | np.ndarray:
     leaves the unit ball.  Single elements give a float.  NaN or infinite
     entries in a, b or C raise NonFiniteError.
     """
-    C = np.asarray(C, dtype=np.complex128)
-    if C.ndim < 2 or C.shape[-1] != C.shape[-2] or C.shape[-1] == 0:
-        raise DimensionMismatchError(f"C must be square, got shape {C.shape}")
+    C = as_squares(C, "C").astype(np.complex128, copy=False)
     a = np.asarray(a, dtype=np.complex128)
     b = np.asarray(b, dtype=np.complex128)
     for value in (a, b, C):
@@ -561,9 +557,10 @@ def swap_bound_domination(n: int, samples: int = 10_000, rng_seed: int = 0) -> f
     (inf when every draw was numerically zero).  A nonnegative return
     (within roundoff) means the bound dominated every sample.
 
-    The draws come in stacks of at most 2^15 matrix entries (one sample
-    where a single sample holds more): each stack is drawn and embedded at
-    once, then its odd-numbered samples draw their boundary-brushing factors.
+    The draws come in stacks of at most ``linalg.STACK_ENTRIES`` matrix
+    entries (one sample where a single sample holds more): each stack is
+    drawn and embedded at once, then its odd-numbered samples draw their
+    boundary-brushing factors.
     """
     s = SystemId(SystemKind.TRANSPOSE_PAIRED_COMPLEX, n)
     rng = np.random.default_rng(rng_seed)
@@ -587,19 +584,6 @@ def swap_bound_domination(n: int, samples: int = 10_000, rng_seed: int = 0) -> f
     return float(worst)
 
 
-def _trace_average_diagonal(M: np.ndarray) -> np.ndarray:
-    """Conditional-expectation step: diagonal blocks averaged to (tr/n) I,
-    on a matrix or on each matrix of a stack."""
-    n = M.shape[-1] // 2
-    fields = {
-        "a": np.trace(_block(M, n, (0, 0)), axis1=-2, axis2=-1) / n,
-        "d": np.trace(_block(M, n, (1, 1)), axis1=-2, axis2=-1) / n,
-        "B": _block(M, n, (0, 1)),
-        "C": _block(M, n, (1, 0)),
-    }
-    return _embed_fields(SystemId(SystemKind.SCALAR_DIAGONAL, n), fields, M.shape[:-2])
-
-
 @dataclasses.dataclass(frozen=True)
 class SchwarzReport:
     """Minimum eigenvalue of candidate(M^2) - map(M)^2 on a self-adjoint M,
@@ -617,9 +601,10 @@ def kadison_schwarz_check(m: MapId, x) -> SchwarzReport:
     candidate extension there: the blockwise transpose for the four
     transpose-family maps it restricts to, and for the quarter-transpose the
     composition with the trace-averaging compression onto scalar-diagonal
-    form.  Full-algebra maps are their own candidate.  The defect matrix is
-    candidate(M^2) - (map(M))^2; the inequality holds when its smallest
-    eigenvalue is >= -IDENTITY_TOL.
+    form, which is ``systems.project`` onto that system.  Full-algebra maps
+    are their own candidate.  The defect matrix is candidate(M^2) -
+    (map(M))^2; the inequality holds when its smallest eigenvalue is
+    >= -IDENTITY_TOL.
 
     ``x`` is an element, a matrix, or a stack of matrices; a stack gets the
     defect and the verdict of each matrix as arrays, through one batched
@@ -636,7 +621,7 @@ def kadison_schwarz_check(m: MapId, x) -> SchwarzReport:
         raise PreconditionError("Schwarz check needs a self-adjoint input")
     Msq = M @ M
     if m.kind is MapKind.QUARTER_TRANSPOSE:
-        evaluated = _blockwise(m.kind, _trace_average_diagonal(Msq))
+        evaluated = _blockwise(m.kind, project(dom, Msq))
         candidate = "trace-averaged-compression"
     elif dom is not None:
         evaluated = _blockwise(MapKind.BLOCK_TRANSPOSE, Msq)
@@ -690,9 +675,9 @@ def corner_square_identities(A, c, d) -> float | np.ndarray:
     GM = _blockwise(MapKind.CORNER_TRANSPOSE, M)
     worst = np.maximum.reduce(
         [
-            _deviations(Msq, square_display(A, A @ A)),
-            _deviations(_blockwise(MapKind.BLOCK_TRANSPOSE, Msq), square_display(At, (A @ A).swapaxes(-1, -2))),
-            _deviations(GM @ GM, square_display(At, At @ At)),
+            _deviation(Msq, square_display(A, A @ A)),
+            _deviation(_blockwise(MapKind.BLOCK_TRANSPOSE, Msq), square_display(At, (A @ A).swapaxes(-1, -2))),
+            _deviation(GM @ GM, square_display(At, At @ At)),
         ]
     )
     return float(worst) if worst.ndim == 0 else worst
@@ -702,8 +687,9 @@ def swap_bc_singular_check(n: int, trials: int = 1000, rng_seed: int = 0) -> flo
     """Largest deviation between the sorted singular values of
     [[A, bI], [cI, dI]] and [[A, cI], [bI, dI]] over seeded random draws.
 
-    The draws come in stacks of at most 2^15 matrix entries, each embedded
-    twice (b and c traded) and put through one batched SVD per embedding.
+    The draws come in stacks of at most ``linalg.STACK_ENTRIES`` matrix
+    entries, each embedded twice (b and c traded) and put through one
+    batched SVD per embedding.
     """
     s = SystemId(SystemKind.FREE_CORNER, n)
     rng = np.random.default_rng(rng_seed)
@@ -753,13 +739,15 @@ def quarter_transpose_witness_norm(n: int) -> float:
     entangled witness; equals n/4, crossing 1 strictly between n=4 and n=5.
 
     The witness sum_ij E_ij (x) E_ij has its ones at the rows and columns
-    k (n + 1), k < n; the map scales it by its off-diagonal factor.
+    k (n + 1), k < n; the map scales it by its off-diagonal factor, read off
+    the map's image of the unit lower-left corner at n = 1.
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     Y = np.zeros((n * n, n * n))
     ones = np.arange(n) * (n + 1)
-    Y[np.ix_(ones, ones)] = _RULES[MapKind.QUARTER_TRANSPOSE][(1, 0)]
+    corner = np.array([[0.0, 0.0], [1.0, 0.0]])
+    Y[np.ix_(ones, ones)] = _blockwise(MapKind.QUARTER_TRANSPOSE, corner)[1, 0]
     return operator_norm(Y)
 
 

@@ -27,7 +27,6 @@ from __future__ import annotations
 import dataclasses
 import enum
 import functools
-import itertools
 import math
 from typing import NamedTuple
 
@@ -217,17 +216,6 @@ _LAYOUT: dict[type, tuple[Slot, ...]] = {
     ),
 }
 
-# Runs of consecutive scalar fields and of consecutive block fields of each
-# class, in dataclass order: (is the run scalar, its field names).  Each run
-# is one generator call of ``_draw_fields``.
-_DRAW_RUNS: dict[type, tuple[tuple[bool, tuple[str, ...]], ...]] = {
-    cls: tuple(
-        (scalar, tuple(slot.name for slot in run))
-        for scalar, run in itertools.groupby(slots, lambda slot: slot.role is Role.SCALAR)
-    )
-    for cls, slots in _LAYOUT.items()
-}
-
 _ELEMENT_CLASS: dict[SystemKind, type] = {
     SystemKind.SCALAR_DIAGONAL: ScalarDiagonalElement,
     SystemKind.TRANSPOSE_PAIRED: PairedCornerElement,
@@ -394,26 +382,25 @@ def _draw_fields(s: SystemId, rng: np.random.Generator, scale: float, k: int) ->
     (per part), blocks with i.i.d. entries of standard deviation
     scale/sqrt(n), split across the parts when complex.
 
-    Fields are drawn in dataclass order, each for all k elements, real parts
-    before imaginary parts; a run of consecutive scalar (or block) fields
-    takes one generator call.  So k = 1 consumes the generator exactly as
-    one draw per scalar part and per block part would.
+    Fields are drawn in dataclass order, each by one generator call for all
+    k elements, real parts before imaginary parts.  So k = 1 consumes the
+    generator exactly as one draw per scalar part and per block part would.
     """
     n = s.n
     parts = 2 if s.field is Field.COMPLEX else 1
     fields = {}
-    for scalar, names in _DRAW_RUNS[_ELEMENT_CLASS[s.kind]]:
-        if scalar:
-            x = rng.uniform(-scale, scale, (len(names), parts, k))
+    for name, _, role in _LAYOUT[_ELEMENT_CLASS[s.kind]]:
+        if role is Role.SCALAR:
+            x = rng.uniform(-scale, scale, (parts, k))
         else:
-            x = rng.normal(0.0, scale / math.sqrt(parts * n), (len(names), parts, k, n, n))
+            x = rng.normal(0.0, scale / math.sqrt(parts * n), (parts, k, n, n))
         if parts == 2:
-            z = np.empty(x[:, 0].shape, dtype=np.complex128)
-            z.real, z.imag = x[:, 0], x[:, 1]
+            z = np.empty(x[0].shape, dtype=np.complex128)
+            z.real, z.imag = x
             x = z
         else:
-            x = x[:, 0]
-        fields.update(zip(names, x))
+            x = x[0]
+        fields[name] = x
     return fields
 
 

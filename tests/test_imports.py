@@ -1,5 +1,6 @@
 """Every module of the package uses each name it imports, none assembles
-blocks with ``np.block``, and only ``linalg`` calls ``np.linalg.svd``."""
+blocks with ``np.block``, only ``linalg`` calls ``np.linalg.svd``, and only
+``maps._blockwise`` reads the rule table ``maps._RULES``."""
 
 import ast
 from pathlib import Path
@@ -88,3 +89,28 @@ def test_no_svd_outside_linalg(module):
 def test_guard_flags_svd():
     source = "import numpy as np\n\ns = np.linalg.svd(M)\nt = svd(M)\nu = np.svd(M)\nv = scipy.linalg.svd(M)\n"
     assert _svd_calls(source) == [3]
+
+
+def _rules_readers(source: str) -> list[str]:
+    """The top-level functions that read ``_RULES``, in source order, with
+    "" for each read outside a function."""
+    readers = []
+    for node in ast.parse(source).body:
+        reads = any(
+            isinstance(x, ast.Name) and x.id == "_RULES" and isinstance(x.ctx, ast.Load) for x in ast.walk(node)
+        )
+        if reads:
+            readers.append(node.name if isinstance(node, ast.FunctionDef) else "")
+    return readers
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_rules_read_only_by_blockwise(module):
+    # every map acts through maps._blockwise, which alone reads the table
+    readers = _rules_readers((PACKAGE / module).read_text())
+    assert readers == (["_blockwise"] if module == "maps.py" else [])
+
+
+def test_guard_flags_rules_readers():
+    source = "_RULES = {}\n\ndef f():\n    return _RULES[k]\n\ndef g():\n    _RULES = 1\n\nx = _RULES\n"
+    assert _rules_readers(source) == ["f", ""]

@@ -41,6 +41,14 @@ MAP_MUTANTS = {
         certify("phi", 17),
         "certify.phi.n=17.outcome",
     ),
+    # the witness norm reads its factor through the map's rule, so the
+    # unscaled lower-left block fails the claim instead of raising
+    "phi-unscaled-lower-left": (
+        MapKind.QUARTER_TRANSPOSE,
+        {(0, 1): 0.25},
+        certify("phi", 17),
+        "certify.phi.n=17.outcome",
+    ),
     "upsilon-identity": (MapKind.OFFDIAG_SWAP, {}, certify("upsilon", 2), "certify.upsilon.n=2.outcome"),
     "gamma-identity": (MapKind.CORNER_TRANSPOSE, {}, certify("gamma", 2), "certify.gamma.n=2.narrative"),
     "gamma-identity-ks": (
@@ -48,6 +56,13 @@ MAP_MUTANTS = {
         {},
         dict(runner=suite.ks_claims, command="verify", target="ks", n_values=(2,), trials=100),
         "ks.psi-transpose.free-corner.n=2",
+    ),
+    # a forced image that is not self-adjoint fails by its hermiticity defect
+    "psi-transpose-untransposed-lower-left": (
+        MapKind.BLOCK_TRANSPOSE,
+        {(0, 0): 1.0, (0, 1): 1.0, (1, 1): 1.0},
+        certify("gamma", 2),
+        "certify.gamma.n=2.final-witness",
     ),
     "psi-real-ext": (
         MapKind.CORNER_TRANSPOSE_FULL,

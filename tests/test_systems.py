@@ -344,6 +344,41 @@ def test_single_draw_is_the_stacked_draw_at_k1(kind, n, seed, scale):
     assert _bits(_embed_fields(s, fields, (1,))[0]) == _bits(embed(want))
 
 
+def _reference_draw_fields(s, rng, scale, k):
+    """Reference stacked draw: the parts of each field, in dataclass order,
+    each part for all k elements by one generator call, real parts before
+    imaginary parts."""
+    n = s.n
+    parts = 2 if s.field is Field.COMPLEX else 1
+    template = identity_element(s)
+    fields = {}
+    for f in dataclasses.fields(template)[1:]:
+        if np.ndim(getattr(template, f.name)):
+            fields[f.name] = [rng.normal(0.0, scale / math.sqrt(parts * n), (k, n, n)) for _ in range(parts)]
+        else:
+            fields[f.name] = [rng.uniform(-scale, scale, k) for _ in range(parts)]
+    return fields
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("n", [1, 2, 3, 17])
+@pytest.mark.parametrize("k", [1, 2, 7])
+@settings(max_examples=10, deadline=None)
+@given(seed=SEEDS, scale=SCALES)
+def test_stacked_draw_is_the_per_field_reference(kind, n, k, seed, scale):
+    s = SystemId(kind, n)
+    ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    want = _reference_draw_fields(s, ref_rng, scale, k)
+    got = _draw_fields(s, rng, scale, k)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert list(got) == list(want)
+    for name, parts in want.items():
+        assert got[name].dtype == s.field.dtype
+        assert [_bits(part) for part in (got[name].real, got[name].imag)[: len(parts)]] == [
+            _bits(part) for part in parts
+        ]
+
+
 @pytest.mark.parametrize("kind", ALL_KINDS)
 @pytest.mark.parametrize("n", [1, 2, 5])
 @settings(max_examples=10, deadline=None)
