@@ -369,7 +369,7 @@ def _structured_starts(m: MapId) -> list[np.ndarray]:
     return starts
 
 
-def _schatten(Y: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _schatten(Y: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """sigma_1, log ||Y||_p and its gradient G for each matrix of a stack.
 
     d log ||Y||_p = Re sum_jk dY[j, k] G[j, k] with G = sum_i c_i conj(u_i) v_i^t
@@ -390,7 +390,7 @@ def _schatten(Y: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
     lam = np.maximum(lam, 0.0)
     lam1 = lam[:, -1]
     r = lam / lam1[:, None]
-    q = r ** (p[:, None] / 2.0 - 1.0)
+    q = r ** (p / 2.0 - 1.0)
     z = np.sum(q * r, axis=1)
     w = q / (lam1 * z)[:, None]
     s1 = np.sqrt(lam1)
@@ -398,14 +398,14 @@ def _schatten(Y: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
     return s1, np.log(s1) + np.log(z) / p, G
 
 
-# Schatten exponents of the ascent: stage k uses p = _P_BASE^(k+1)
+# Schatten exponents of the ascent: stage s uses p = _P_BASE^(s+1)
 _P_BASE = 16.0
 _P_STAGES = 5
-# a stage ends after this many steps, once the step length drops below
-# _STAGE_END_STEP, or once the sphere-projected gradient is at most
-# _STATIONARY, below which the first-order gain of any step is under double
-# precision's resolution of the objective; every stage starts at step length
-# _FIRST_STEP
+# a start stops stepping in a stage after this many steps, once its step
+# length drops below _STAGE_END_STEP, or once its sphere-projected gradient
+# is at most _STATIONARY, below which the first-order gain of any step is
+# under double precision's resolution of the objective; every stage starts
+# at step length _FIRST_STEP
 _STAGE_STEPS = 30
 _STAGE_END_STEP = 1e-6
 _STATIONARY = math.sqrt(np.finfo(float).eps)
@@ -429,17 +429,18 @@ def estimate_map_norm(m: MapId, restarts: int = 50, rng_seed: int = 0) -> NormEs
 
     All starts ascend together as one (starts, 2n, 2n) stack of domain
     matrices, each on the Frobenius unit sphere: a step moves along the
-    gradient with its radial part removed and renormalizes.  Each start
-    keeps its own step length, doubled after a step that raised the
-    objective and cut by four after one that did not (the start then stays
-    where it was).  A start moves to the next exponent after 30 steps, once
-    its step length falls below 1e-6, or, checked before each step, once
-    its projected gradient has norm at most sqrt(machine epsilon): no step
-    could then raise the objective by more than double precision resolves,
-    so a flat stage (an isometry, a plateau) costs no evaluation beyond the
-    one that entered it.  A start stops after the last exponent.  Each
-    round steps a start or ends its stage, so a start is live for at most
-    5 x 30 = 150 rounds, and the loop stops there.
+    gradient with its radial part removed and renormalizes.  The stages run
+    in lock-step.  Each evaluates every start once at its exponent, then
+    runs at most 30 rounds; in a round, every start whose step length is
+    still at least 1e-6 and whose projected gradient exceeds sqrt(machine
+    epsilon) takes one step.  Below that gradient no step could raise the
+    objective by more than double precision resolves, so a flat stage (an
+    isometry, a plateau) costs each start the one evaluation that entered
+    it.  Each start keeps its own step length, reset to 0.5 at each stage,
+    doubled after a step that raised the objective and cut by four after
+    one that did not (the start then stays where it was).  A start's path
+    depends only on its own state, so running the stages in lock-step gives
+    every start the path it would take alone.
 
     Every evaluated ratio sigma_1(map(X)) / sigma_1(X) is tracked, so the
     returned lower bound is the best value seen anywhere, renormalized
@@ -459,35 +460,30 @@ def estimate_map_norm(m: MapId, restarts: int = 50, rng_seed: int = 0) -> NormEs
     x = np.array(starts)
     x /= np.linalg.norm(x, axis=(1, 2), keepdims=True)
 
-    def ascent(x: np.ndarray, stage: np.ndarray):
+    def ascent(x: np.ndarray, p: float):
         """Ratio, objective and sphere-projected gradient at each matrix of x."""
-        p = _P_BASE ** (stage + 1.0)
         k = len(x)
-        s, log_s, G = _schatten(np.concatenate([x, _blockwise(m.kind, x)]), np.tile(p, 2))
+        s, log_s, G = _schatten(np.concatenate([x, _blockwise(m.kind, x)]), p)
         # each map moves entries within their blocks and scales them by reals,
         # so it is its own adjoint under Re sum_jk X[j, k] Y[j, k]
         g = project(dom, np.conj(_blockwise(m.kind, G[k:]) - G[:k]))
         g -= np.sum((x.conj() * g).real, axis=(1, 2))[:, None, None] * x
         return s[k:] / s[:k], log_s[k:] - log_s[:k], g
 
-    stage = np.zeros(len(x), dtype=int)
-    ratio, f, g = ascent(x, stage)
-    best, best_x = ratio.copy(), x.copy()
-    step = np.full(len(x), _FIRST_STEP)
-    taken = np.zeros(len(x), dtype=int)
-    for _ in range(_P_STAGES * _STAGE_STEPS):
-        live = np.flatnonzero(step > 0.0)
-        if live.size == 0:
-            break
-        # a stationary start ends its stage before stepping, at no evaluation
-        flat = np.linalg.norm(g[live], axis=(1, 2)) <= _STATIONARY
-        ending = np.zeros(len(x), dtype=bool)
-        ending[live[flat]] = True
-        live = live[~flat]
-        if live.size:
+    for stage in range(_P_STAGES):
+        p = _P_BASE ** (stage + 1.0)
+        ratio, f, g = ascent(x, p)
+        # a later stage re-enters at points whose ratio is already tracked
+        if stage == 0:
+            best, best_x = ratio, x.copy()
+        step = np.full(len(x), _FIRST_STEP)
+        for _ in range(_STAGE_STEPS):
+            live = np.flatnonzero((step >= _STAGE_END_STEP) & (np.linalg.norm(g, axis=(1, 2)) > _STATIONARY))
+            if live.size == 0:
+                break
             y = x[live] + step[live, None, None] * g[live]
             y /= np.linalg.norm(y, axis=(1, 2), keepdims=True)
-            ratio_y, f_y, g_y = ascent(y, stage[live])
+            ratio_y, f_y, g_y = ascent(y, p)
             better = ratio_y > best[live]
             best[live[better]] = ratio_y[better]
             best_x[live[better]] = y[better]
@@ -496,18 +492,6 @@ def estimate_map_norm(m: MapId, restarts: int = 50, rng_seed: int = 0) -> NormEs
             x[moved], f[moved], g[moved] = y[up], f_y[up], g_y[up]
             step[moved] *= 2.0
             step[live[~up]] *= 0.25
-            taken[live] += 1
-            ended = (taken[live] >= _STAGE_STEPS) | (step[live] < _STAGE_END_STEP)
-            ending[live[ended]] = True
-
-        done = np.flatnonzero(ending)
-        step[done[stage[done] == _P_STAGES - 1]] = 0.0
-        done = done[stage[done] < _P_STAGES - 1]
-        if done.size:
-            stage[done] += 1
-            step[done] = _FIRST_STEP
-            taken[done] = 0
-            _, f[done], g[done] = ascent(x[done], stage[done])
 
     W = best_x[int(np.argmax(best))]
     W = W / operator_norm(W)
@@ -647,9 +631,10 @@ def corner_square_identities(A, c, d) -> float | np.ndarray:
     element, on which blockT is the corner transpose: the last display
     squares that map's image of M.
 
-    A, c and d may carry leading stack axes (A of shape (..., n, n)); the
-    residual then comes back per element as an array, and PreconditionError
-    is raised if any A is not self-adjoint.  One element gives a float.
+    A, c and d may carry leading stack axes (A of shape (..., n, n)) that
+    broadcast against each other; the residual then comes back per element
+    as an array, and PreconditionError is raised if any A is not
+    self-adjoint.  One element gives a float.
     """
     A = as_squares(np.asarray(A, dtype=np.complex128), "A")
     if np.any(hermiticity_defect(A) > EXACT_TOL):
@@ -660,8 +645,9 @@ def corner_square_identities(A, c, d) -> float | np.ndarray:
     n = A.shape[-1]
     s = SystemId(SystemKind.FREE_CORNER, n)
     M = _embed_fields(s, {"A": A, "b": np.conj(c), "c": c, "d": d}, lead)
-    # the scalars as (..., 1, 1) factors of whole blocks
-    cb, db = c[..., None, None], d[..., None, None]
+    # the scalars as (..., 1, 1) factors of whole blocks, read off M so that
+    # every display block gets M's full leading shape
+    cb, db = M[..., n, 0, None, None], M[..., n, n, None, None].real
     cb2 = _modulus(cb) ** 2
     I = np.eye(n, dtype=np.complex128)
 

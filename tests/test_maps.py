@@ -36,8 +36,19 @@ from opsyscheck import (
     swap_bound_domination,
 )
 from opsyscheck import maps
-from opsyscheck.maps import _P_STAGES, _schatten, _spectral_norms
-from opsyscheck.systems import _draw_element, _draw_positive
+from opsyscheck.maps import (
+    _FIRST_STEP,
+    _P_BASE,
+    _P_STAGES,
+    _STAGE_END_STEP,
+    _STAGE_STEPS,
+    _STATIONARY,
+    _blockwise,
+    _schatten,
+    _spectral_norms,
+    _structured_starts,
+)
+from opsyscheck.systems import _draw_element, _draw_full, _draw_positive, project
 
 ALL_MAPS = list(MapKind)
 POSITIVE_MAPS = [
@@ -273,7 +284,7 @@ def _schatten_by_svd(Y, p):
     U, s, Vh = np.linalg.svd(Y)
     s1 = s[:, 0]
     r = s / s1[:, None]
-    q = r ** (p[:, None] - 1.0)
+    q = r ** (p - 1.0)
     z = np.sum(q * r, axis=1)
     c = q / (s1 * z)[:, None]
     return s1, np.log(s1) + np.log(z) / p, (np.conj(U) * c[:, None, :]) @ np.conj(Vh)
@@ -289,9 +300,8 @@ def test_schatten_matches_the_svd_formula(p, cplx):
         # zeros that the Gram eigenvalues may round below 0
         M, _ = complex_swap_witness()
         Y = np.concatenate([Y, M[None], 0.3j * M[None]])
-    ps = np.full(len(Y), p)
-    s1, f, G = _schatten(Y, ps)
-    s1_ref, f_ref, G_ref = _schatten_by_svd(Y, ps)
+    s1, f, G = _schatten(Y, p)
+    s1_ref, f_ref, G_ref = _schatten_by_svd(Y, p)
     assert np.all(np.isfinite(G))
     assert np.abs(s1 - s1_ref).max() <= 1e-12 * s1_ref.max()
     assert np.abs(f - f_ref).max() <= 1e-12
@@ -305,7 +315,8 @@ def test_schatten_matches_the_svd_formula(p, cplx):
 @pytest.mark.parametrize("kind,n", [(MapKind.OFFDIAG_SWAP, 4), (MapKind.CORNER_TRANSPOSE, 2)])
 def test_isometries_cost_one_evaluation_per_stage(kind, n, monkeypatch):
     # both maps keep every singular value, so each Schatten stage is flat and
-    # every start ends it on the gradient it entered with
+    # every start ends it on the gradient it entered with: each stage
+    # evaluates each start and its image exactly once
     rows = []
 
     def counting(Y, p):
@@ -316,7 +327,96 @@ def test_isometries_cost_one_evaluation_per_stage(kind, n, monkeypatch):
     restarts = 10
     est = estimate_map_norm(MapId(kind, n), restarts=restarts, rng_seed=0)
     assert abs(est.lower_bound - 1.0) < 1e-12
-    assert sum(rows) <= 2 * restarts * _P_STAGES
+    assert rows == [2 * restarts] * _P_STAGES
+
+
+def _per_start_norm_search(m, restarts, rng_seed):
+    # the search as a per-start stage machine: each start carries its own
+    # stage index, step count and stage-end flag, and starts at different
+    # stages share a round; returns the lower bound, the witness and the
+    # number of matrices whose Schatten gradient it took
+    dom = m.domain
+    evaluated = []
+    starts = _structured_starts(m)
+    for k in range(len(starts), restarts):
+        starts.append(project(dom, _draw_full(m.n, m.field, np.random.default_rng([rng_seed, k]))))
+    x = np.array(starts)
+    x /= np.linalg.norm(x, axis=(1, 2), keepdims=True)
+
+    def ascent(x, stage):
+        ratio, f, g = np.empty(len(x)), np.empty(len(x)), np.empty_like(x)
+        for s in np.unique(stage):
+            rows = stage == s
+            y, k = x[rows], np.count_nonzero(rows)
+            sv, log_s, G = _schatten(np.concatenate([y, _blockwise(m.kind, y)]), _P_BASE ** (s + 1.0))
+            evaluated.append(2 * k)
+            gr = project(dom, np.conj(_blockwise(m.kind, G[k:]) - G[:k]))
+            gr -= np.sum((y.conj() * gr).real, axis=(1, 2))[:, None, None] * y
+            ratio[rows], f[rows], g[rows] = sv[k:] / sv[:k], log_s[k:] - log_s[:k], gr
+        return ratio, f, g
+
+    stage = np.zeros(len(x), dtype=int)
+    ratio, f, g = ascent(x, stage)
+    best, best_x = ratio.copy(), x.copy()
+    step = np.full(len(x), _FIRST_STEP)
+    taken = np.zeros(len(x), dtype=int)
+    for _ in range(_P_STAGES * _STAGE_STEPS):
+        live = np.flatnonzero(step > 0.0)
+        if live.size == 0:
+            break
+        flat = np.linalg.norm(g[live], axis=(1, 2)) <= _STATIONARY
+        ending = np.zeros(len(x), dtype=bool)
+        ending[live[flat]] = True
+        live = live[~flat]
+        if live.size:
+            y = x[live] + step[live, None, None] * g[live]
+            y /= np.linalg.norm(y, axis=(1, 2), keepdims=True)
+            ratio_y, f_y, g_y = ascent(y, stage[live])
+            better = ratio_y > best[live]
+            best[live[better]] = ratio_y[better]
+            best_x[live[better]] = y[better]
+            up = f_y > f[live]
+            moved = live[up]
+            x[moved], f[moved], g[moved] = y[up], f_y[up], g_y[up]
+            step[moved] *= 2.0
+            step[live[~up]] *= 0.25
+            taken[live] += 1
+            ending[live[(taken[live] >= _STAGE_STEPS) | (step[live] < _STAGE_END_STEP)]] = True
+        done = np.flatnonzero(ending)
+        step[done[stage[done] == _P_STAGES - 1]] = 0.0
+        done = done[stage[done] < _P_STAGES - 1]
+        if done.size:
+            stage[done] += 1
+            step[done] = _FIRST_STEP
+            taken[done] = 0
+            _, f[done], g[done] = ascent(x[done], stage[done])
+    W = best_x[int(np.argmax(best))]
+    W = W / operator_norm(W)
+    return operator_norm(_blockwise(m.kind, W)), W, sum(evaluated)
+
+
+@pytest.mark.parametrize("kind", [k for k in ALL_MAPS if k.domain_kind is not None])
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_lock_step_stages_match_the_per_start_stage_machine(kind, n, monkeypatch):
+    # each start's path depends only on its own state, so running the stages
+    # in lock-step changes no bit of the lower bound or the witness, and
+    # evaluates each start as often
+    rows = []
+
+    def counting(Y, p):
+        rows.append(len(Y))
+        return _schatten(Y, p)
+
+    monkeypatch.setattr(maps, "_schatten", counting)
+    m = MapId(kind, n)
+    for restarts in (1, 3, 10):
+        for seed in (0, 7919):
+            rows.clear()
+            est = estimate_map_norm(m, restarts=restarts, rng_seed=seed)
+            lower, W, evaluated = _per_start_norm_search(m, restarts, seed)
+            assert est.lower_bound.hex() == lower.hex(), (restarts, seed)
+            assert est.witness.dtype == W.dtype and est.witness.tobytes() == W.tobytes(), (restarts, seed)
+            assert sum(rows) == evaluated, (restarts, seed)
 
 
 @pytest.mark.parametrize("n", [2, 3])

@@ -378,6 +378,22 @@ def test_corner_square_identities_on_a_stack_match_their_rows(n):
         corner_square_identities(bad, f["c"], f["d"].real)
 
 
+@pytest.mark.parametrize("n", (1, 2, 3))
+def test_corner_square_identities_broadcast_scalars_over_a_stack(n):
+    # one c and d against a stack of A, and one A against a stack of c and d
+    rng = np.random.default_rng(n)
+    f = _draw_selfadjoint(SystemId(SystemKind.FREE_CORNER, n), rng, 4)
+    A, c, d = f["A"], complex(f["c"][0]), float(f["d"][0].real)
+    residuals = corner_square_identities(A, c, d)
+    assert residuals.shape == (4,)
+    for j in range(4):
+        assert _bits(residuals[j]) == _bits(corner_square_identities(A[j], c, d))
+    residuals = corner_square_identities(A[0], f["c"], f["d"].real)
+    assert residuals.shape == (4,)
+    for j in range(4):
+        assert _bits(residuals[j]) == _bits(corner_square_identities(A[0], f["c"][j], f["d"][j].real))
+
+
 # ---------------------------------------------------------------------------
 # The characteristic-polynomial check draws its points at once.
 
