@@ -18,7 +18,6 @@ from .linalg import (
     hermitian_eigenvalues,
     hermiticity_defect,
     is_psd,
-    matrix_unit,
     operator_norm,
     singular_values,
 )

@@ -197,17 +197,6 @@ def is_psd(M, tol: float = PSD_TOL) -> PsdVerdict:
     )
 
 
-def matrix_unit(n: int, i: int, j: int) -> np.ndarray:
-    """The n x n matrix with a single 1 in row i, column j (1-based)."""
-    if n < 1:
-        raise DimensionMismatchError(f"order must be positive, got {n}")
-    if not (1 <= i <= n and 1 <= j <= n):
-        raise IndexError(f"matrix_unit indices ({i}, {j}) out of range for n={n}")
-    E = np.zeros((n, n))
-    E[i - 1, j - 1] = 1.0
-    return E
-
-
 def block2x2(A, B, C, D) -> np.ndarray:
     """Assemble [[A, B], [C, D]] from four n x n blocks over one field, or
     each matrix of a stack from four stacks of blocks of one shape."""

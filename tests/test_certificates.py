@@ -7,9 +7,12 @@ import numpy as np
 import pytest
 
 from opsyscheck import (
+    MapId,
+    MapKind,
     Outcome,
     Step,
     Verdict,
+    block2x2,
     block_transpose,
     certify_corner_transpose,
     certify_offdiag_swap,
@@ -21,7 +24,7 @@ from opsyscheck import (
     verify_verdict_invariants,
 )
 from opsyscheck import certificates
-from opsyscheck.linalg import PSD_TOL
+from opsyscheck.linalg import EXACT_TOL, MEMBERSHIP_TOL, PSD_TOL, STACK_ENTRIES
 
 
 def test_schur_implication_agrees_both_ways():
@@ -64,6 +67,120 @@ def test_schur_implication_keeps_the_field(monkeypatch):
         rep = schur_implication(P_in, X_in)
         assert fields == [field, field]
         assert rep.block_psd and rep.complement_psd
+
+
+@pytest.mark.parametrize("fields", ["real", "complex", "real-complex", "complex-real"])
+def test_schur_implication_on_stacks_matches_each_pair(fields, monkeypatch):
+    """A stack gets one report entry per pair, bit for bit the single
+    pair's, from one batched eigensolve per side over the pair's field."""
+    rng = np.random.default_rng(4)
+    k, n = 6, 3
+
+    def draw(field):
+        G = rng.normal(size=(k, n, n))
+        return G + 1j * rng.normal(size=(k, n, n)) if field == "complex" else G
+
+    field_P, field_X = (fields.split("-") * 2)[:2]
+    G = draw(field_P)
+    P = G @ G.conj().swapaxes(-1, -2)
+    # scaled so the stack holds pairs on both sides of the equivalence
+    X = np.geomspace(1e-3, 10.0, k)[:, None, None] * draw(field_X)
+    field = np.result_type(P, X)
+    eigvalsh = np.linalg.eigvalsh
+    solves = []
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda M: solves.append((M.dtype, M.shape)) or eigvalsh(M))
+    rep = schur_implication(P, X)
+    assert solves == [(field, (k, 2 * n, 2 * n)), (field, (k, n, n))]
+    assert rep.block_psd.any() and not rep.block_psd.all()
+    for t in range(k):
+        one = schur_implication(P[t], X[t])
+        assert rep.block_min_eigenvalue[t].tobytes() == np.float64(one.block_min_eigenvalue).tobytes()
+        assert rep.complement_min_eigenvalue[t].tobytes() == np.float64(one.complement_min_eigenvalue).tobytes()
+        assert (rep.block_psd[t], rep.complement_psd[t], rep.agrees[t]) == (
+            one.block_psd,
+            one.complement_psd,
+            one.agrees,
+        )
+        assert type(one.block_min_eigenvalue) is float and type(one.agrees) is bool
+
+
+def _forcing_steps_one_at_a_time(m):
+    """The scaling certificates' forcing core checked one certificate
+    [[E_ii, E_ij], [E_ji, I]] at a time, by a double loop over (i, j), as
+    a reference for the stacked core."""
+    n = m.n
+    Z, I = np.zeros((n, n)), np.eye(n)
+
+    def unit(i, j):
+        E = np.zeros((n, n))
+        E[i, j] = 1.0
+        return E
+
+    r_psd = r_decomp = r_schur = 0.0
+    bound = np.zeros((n, n))
+    for i in range(n):
+        D = block2x2(unit(i, i), Z, Z, Z)
+        r_decomp = max(r_decomp, abs(min(float(hermitian_eigenvalues(D)[0]), 0.0)))
+        for j in range(n):
+            S = block2x2(Z, unit(i, j), unit(j, i), I)
+            r_psd = max(r_psd, abs(float(hermitian_eigenvalues(D + S)[0])))
+            X = certificates._forced_corner(m, S)
+            P = X.conj().T @ X
+            rep = schur_implication(P, X, tol=MEMBERSHIP_TOL)
+            r_schur = max(r_schur, abs(rep.block_min_eigenvalue), abs(rep.complement_min_eigenvalue))
+            if j == 0:
+                bound += P
+    sum_D = sum(unit(i, i) for i in range(n))
+    steps = [
+        Step("each certificate [[E_ii, E_ij], [E_ji, I]] is positive semidefinite", r_psd, EXACT_TOL),
+        Step(
+            "certificate = PSD diagonal part + subspace part, so the extension's"
+            " value dominates the map's image of the subspace part",
+            r_decomp,
+            EXACT_TOL,
+        ),
+        Step(
+            "Schur step: each forced corner X_ij, the lower-left block of that"
+            " image, forces upper-left >= X_ij* X_ij",
+            r_schur,
+            MEMBERSHIP_TOL,
+        ),
+        Step(
+            "the diagonal parts resolve the upper-left identity, capped by I"
+            " since the extension is unital and positive",
+            float(np.abs(sum_D - I).max()),
+            0.0,
+        ),
+    ]
+    return steps, bound
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 16, 17])
+@pytest.mark.parametrize("kind", [MapKind.QUARTER_TRANSPOSE, MapKind.OFFDIAG_SWAP])
+def test_stacked_forcing_steps_match_one_at_a_time(kind, n):
+    m = MapId(kind, n)
+    steps, bound = certificates._corner_forcing_steps(m)
+    ref_steps, ref_bound = _forcing_steps_one_at_a_time(m)
+
+    def key(s):
+        return s.description, s.residual.hex(), s.tolerance.hex()
+
+    assert [key(s) for s in steps] == [key(s) for s in ref_steps]
+    assert (bound.dtype, bound.tobytes()) == (ref_bound.dtype, ref_bound.tobytes())
+
+
+def test_forcing_steps_memory_is_bounded():
+    # the 4,096 certificates at n = 64 would hold 512 MiB as one stack
+    n = 64
+    tracemalloc.start()
+    try:
+        steps, _ = certificates._corner_forcing_steps(MapId(MapKind.OFFDIAG_SWAP, n))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(s.ok for s in steps)
+    one_stack = STACK_ENTRIES * 8
+    assert peak < 16 * one_stack, f"peak {peak / 2**20:.1f} MiB"
 
 
 def _complex_schur(P, X, tol=PSD_TOL):

@@ -13,28 +13,10 @@ from opsyscheck import (
     hermitian_eigenvalues,
     hermiticity_defect,
     is_psd,
-    matrix_unit,
     operator_norm,
     singular_values,
 )
 from opsyscheck.systems import _corner_spectrum
-
-
-def test_matrix_unit_entries():
-    E = matrix_unit(3, 1, 2)
-    assert E.shape == (3, 3)
-    assert E.dtype == np.float64
-    assert E[0, 1] == 1.0
-    assert np.count_nonzero(E) == 1
-
-
-def test_matrix_unit_bounds():
-    with pytest.raises(IndexError):
-        matrix_unit(2, 0, 1)
-    with pytest.raises(IndexError):
-        matrix_unit(2, 1, 3)
-    with pytest.raises(DimensionMismatchError):
-        matrix_unit(0, 1, 1)
 
 
 def test_hermitian_eigenvalues_known():
@@ -49,7 +31,7 @@ def test_hermitian_eigenvalues_rejects_non_hermitian():
     with pytest.raises(NotHermitianError):
         hermitian_eigenvalues(M)
     # symmetrizing within tolerance still works
-    vals = hermitian_eigenvalues(M + M.T + 1e-12 * matrix_unit(2, 1, 2))
+    vals = hermitian_eigenvalues(M + M.T + np.array([[0.0, 1e-12], [0.0, 0.0]]))
     assert vals.shape == (2,)
 
 

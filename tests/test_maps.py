@@ -9,6 +9,7 @@ import pytest
 
 from opsyscheck import (
     DomainViolationError,
+    Field,
     MapId,
     MapKind,
     NonFiniteError,
@@ -17,6 +18,7 @@ from opsyscheck import (
     SystemId,
     SystemKind,
     apply,
+    block2x2,
     block_transpose,
     char_poly_swap_check,
     check_positivity_preserving,
@@ -139,14 +141,36 @@ def test_apply_membership_gate():
         apply(m_real, 1j * np.eye(4))
 
 
-def test_quarter_transpose_scales_corners():
-    m = MapId(MapKind.QUARTER_TRANSPOSE, 2)
-    e = _draw_element(SystemId(SystemKind.SCALAR_DIAGONAL, 2), np.random.default_rng(5), 1.0)
-    out = apply(m, embed(e))
-    assert np.array_equal(out[:2, 2:], e.B.T / 4.0)
-    assert np.array_equal(out[2:, :2], e.C.T / 4.0)
-    assert np.array_equal(out[:2, :2], e.a * np.eye(2))
-    assert np.array_equal(out[2:, 2:], e.d * np.eye(2))
+def golden_case(kind: MapKind) -> tuple[np.ndarray, np.ndarray]:
+    """(input, image) of the map at n = 2 on one fixed input, in its domain
+    when it has one, with no symmetric block.  The image is written out
+    block by block from the map's definition, not read from the rule
+    table.  Entries are small Gaussian integers, so the quartered blocks
+    are exact; complex maps get complex entries, so a conjugating rule
+    shows too."""
+    A, B, C, D = (np.arange(k, k + 4, dtype=float).reshape(2, 2) for k in (1, 5, 9, 13))
+    if kind.field is Field.COMPLEX:
+        A, B, C, D = A + 1j * B, B - 2j * C, C + 3j * D, D - 1j * A
+    a, b, c, d = (2.0, 3.0, 5.0, 7.0) if kind.field is Field.REAL else (2 + 1j, 3 - 2j, 5 + 1j, 7 - 3j)
+    I = np.eye(2)
+    cases = {
+        MapKind.QUARTER_TRANSPOSE: ((a * I, B, C, d * I), (a * I, B.T / 4, C.T / 4, d * I)),
+        MapKind.OFFDIAG_SWAP: ((a * I, B, B.T, d * I), (a * I, B.T, B, d * I)),
+        MapKind.OFFDIAG_SWAP_COMPLEX: ((a * I, B, B.T, d * I), (a * I, B.T, B, d * I)),
+        MapKind.CORNER_TRANSPOSE: ((A, b * I, c * I, d * I), (A.T, b * I, c * I, d * I)),
+        MapKind.BLOCK_TRANSPOSE: ((A, B, C, D), (A.T, B.T, C.T, D.T)),
+        MapKind.CORNER_TRANSPOSE_FULL: ((A, B, C, D), (A.T, B, C, D)),
+    }
+    x, image = cases[kind]
+    return block2x2(*x), block2x2(*image)
+
+
+@pytest.mark.parametrize("kind", ALL_MAPS)
+def test_rule_gives_the_definition_block_by_block(kind):
+    x, image = golden_case(kind)
+    out = apply(MapId(kind, 2), x)
+    assert out.dtype == image.dtype
+    assert np.array_equal(out, image)
 
 
 def test_swap_maps_are_involutions_on_domain():

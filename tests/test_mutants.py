@@ -1,7 +1,8 @@
 """Mutation checks: each mutant of a map's rule, of the closed-form
 positivity criterion, of the scaling certificates' summed bound, of the
 squeeze bounds or of the norm search's reported bound makes a claim of its
-own family fail.
+own family fail.  The three rule mutants that pass every claim fail the
+block-by-block image of ``test_maps.golden_case`` instead.
 
 A mutant is installed with ``monkeypatch`` for one test only; nothing in the
 package switches it on.  Each configuration also runs unmutated, where the
@@ -15,8 +16,9 @@ import pytest
 
 from opsyscheck import certificates, maps, suite, systems
 from opsyscheck.linalg import PSD_TOL
-from opsyscheck.maps import MapKind
+from opsyscheck.maps import MapId, MapKind
 from opsyscheck.suite import RunConfig
+from test_maps import golden_case
 
 
 def statuses(runner, **config) -> dict[str, str]:
@@ -86,6 +88,28 @@ def test_map_rule_mutant_fails_its_family(name, mutated, monkeypatch):
     if mutated:
         monkeypatch.setitem(maps._RULES, kind, rule)
     assert statuses(**run)[claim_id] == ("fail" if mutated else "pass")
+
+
+# rule mutants that pass every claim of the suite at n = 1, 2 and 17: no
+# claim applies them to an input whose block they get wrong
+CLAIM_SURVIVORS = {
+    "psi-real-ext-identity": (MapKind.CORNER_TRANSPOSE_FULL, {}),
+    "psi-real-ext-both-diagonal-blocks": (MapKind.CORNER_TRANSPOSE_FULL, {(0, 0): 1.0, (1, 1): 1.0}),
+    "psi-transpose-untransposed-lower-right": (
+        MapKind.BLOCK_TRANSPOSE,
+        {(0, 0): 1.0, (0, 1): 1.0, (1, 0): 1.0},
+    ),
+}
+
+
+@pytest.mark.parametrize("mutated", [False, True], ids=["original", "mutant"])
+@pytest.mark.parametrize("name", list(CLAIM_SURVIVORS))
+def test_claim_survivor_fails_the_definition(name, mutated, monkeypatch):
+    kind, rule = CLAIM_SURVIVORS[name]
+    if mutated:
+        monkeypatch.setitem(maps._RULES, kind, rule)
+    x, image = golden_case(kind)
+    assert np.array_equal(maps.apply(MapId(kind, 2), x), image) is not mutated
 
 
 _CRITERION = systems._criterion_fields
