@@ -14,6 +14,16 @@ Nothing here proves an extension exists.  Below threshold the verdict is
 Inconclusive, except in the degenerate sizes where the map is the identity
 and the identity map of the algebra is exhibited as an extension.
 
+The n^2 certificates [[E_ii, E_ij], [E_ji, I]] of the two corner-scaling
+certificates fall into two orbits under one permutation of the indices
+applied to both diagonal blocks: (0, 0) reaches every (i, i) and (0, 1)
+every (i, j) with i != j.  Only the two representatives are eigensolved,
+as in the symmetry reduction of PSD certificates of Gatermann and Parrilo
+(J. Pure Appl. Algebra 192, 2004).  The certificates are placed by index,
+so each is a relabeling of its representative; the forced corners come
+from the map under test, so each of the n^2 is compared exactly with its
+relabeled representative.
+
 The seeded search for a PSD input that the full block transpose, the forced
 extension candidate, sends out of the PSD cone is
 ``maps.check_positivity_preserving`` on the psi-transpose map.
@@ -124,42 +134,73 @@ def _forced_corner(m: MapId, S: np.ndarray) -> np.ndarray:
     return _block(_blockwise(m.kind, S), m.n, (1, 0))
 
 
+def _certificate_parts(n: int, i: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The diagonal parts D = E_ii (+) 0 and the subspace parts
+    S = [[0, E_ij], [E_ji, I]] of the certificates of the pairs (i, j)."""
+    rows = np.arange(i.size)
+    D = np.zeros((i.size, 2 * n, 2 * n))
+    D[rows, i, i] = 1.0
+    S = np.zeros_like(D)
+    S[rows, i, n + j] = S[rows, n + j, i] = 1.0
+    S[:, n:, n:] = np.eye(n)
+    return D, S
+
+
+def _relabelings(i: np.ndarray, j: np.ndarray, n: int) -> np.ndarray:
+    """For each pair (i, j), a permutation pi of range(n) as an array with
+    pi(0) = i and, when i != j, pi(1) = j; the other indices follow in
+    increasing order.  From n = 3 on some of them are three-cycles."""
+    c = np.arange(n)
+    second = (c == j[:, None]) & (i != j)[:, None]
+    return np.argsort(np.where(c == i[:, None], -2, np.where(second, -1, c)), axis=-1)
+
+
 def _corner_forcing_steps(m: MapId) -> tuple[list[Step], np.ndarray]:
     """Shared narrative core of the two corner-scaling certificates.
 
-    Each certificate [[E_ii, E_ij], [E_ji, I]] is built as a diagonal part
-    D = E_ii (+) 0 plus a subspace part S = [[0, E_ij], [E_ji, I]] whose
-    image the map gives.  Verifies, with one batched call per step on each
-    stack of ``stack_chunks``: the certificates and each D are PSD, and the
-    Schur step turns each forced corner X_ij (see ``_forced_corner``) into
-    the lower bound X_ij* X_ij on the upper-left value.  Returns the steps
-    and the summed bound sum_i X_i1* X_i1.
+    Each certificate Q_ij = [[E_ii, E_ij], [E_ji, I]] is built as a
+    diagonal part D_i = E_ii (+) 0 plus a subspace part
+    S_ij = [[0, E_ij], [E_ji, I]] whose image the map gives.  A permutation
+    pi of the indices with pi(0) = i and, for i != j, pi(1) = j, applied
+    to both diagonal blocks, sends Q_00 to Q_ii, Q_01 to Q_ij (i != j)
+    and D_0 to D_i.  These are placed by index, with no map involved, so
+    each has its representative's spectrum, and only the representatives
+    (0, 0) and (0, 1), just (0, 0) at n = 1, are eigensolved: their
+    certificates and D_0 are PSD, and the Schur step turns their forced
+    corners X (see ``_forced_corner``) into the lower bound X* X on the
+    upper-left value.
+
+    The forced corners come from the map under test, so all n^2 of them
+    are read off the map's image of S_ij, per stack of ``stack_chunks``,
+    and each is compared exactly with its representative's corner relabeled
+    by the pi of ``_relabelings``: X_ij[pi(a), pi(b)] = X_rep[a, b].  Where
+    they agree, the Schur step of X_ij is a relabeling of the
+    representative's; the largest deviation joins that step's residual, so
+    a map that treats one index unlike another fails it.  Returns the steps
+    and the summed bound sum_i X_i1* X_i1 of the map's own corners.
     """
     n = m.n
-    r_psd = r_decomp = r_schur = 0.0
+    D, S = _certificate_parts(n, np.zeros(min(n, 2), dtype=int), np.arange(min(n, 2)))
+    # the entries are 0 or 1, so the certificates D + S are exact
+    r_psd = float(np.abs(is_psd(D + S).min_eigenvalue).max())
+    r_decomp = abs(min(is_psd(D[0]).min_eigenvalue, 0.0))
+    X_rep = _forced_corner(m, S)
+    rep = schur_implication(_adjoint(X_rep) @ X_rep, X_rep, tol=MEMBERSHIP_TOL)
+    r_schur = float(np.abs([rep.block_min_eigenvalue, rep.complement_min_eigenvalue]).max())
     bound = np.zeros((n, n))
     sum_D = np.zeros((n, n))
     for start, k in stack_chunks(n * n, 2 * n):
         i, j = np.divmod(np.arange(start, start + k), n)
-        rows = np.arange(k)
-        D = np.zeros((k, 2 * n, 2 * n))
-        D[rows, i, i] = 1.0
-        S = np.zeros_like(D)
-        S[rows, i, n + j] = S[rows, n + j, i] = 1.0
-        S[:, n:, n:] = np.eye(n)
-        # the entries are 0 or 1, so the certificates D + S are exact
-        r_psd = max(r_psd, float(np.abs(is_psd(D + S).min_eigenvalue).max()))
+        D, S = _certificate_parts(n, i, j)
         X = _forced_corner(m, S)
-        P = _adjoint(X) @ X
-        rep = schur_implication(P, X, tol=MEMBERSHIP_TOL)
-        r_schur = max(r_schur, float(np.abs([rep.block_min_eigenvalue, rep.complement_min_eigenvalue]).max()))
+        pi = _relabelings(i, j, n)
+        pulled = X[np.arange(k)[:, None, None], pi[:, :, None], pi[:, None, :]]
+        r_schur = max(r_schur, float(np.abs(pulled - X_rep[(i != j).astype(int)]).max()))
         # the diagonal part depends on i alone: the rows with j = 0 hold
         # its n distinct values and the corners X_i1 of the summed bound
         first = j == 0
-        if first.any():
-            r_decomp = max(r_decomp, float(np.abs(np.minimum(is_psd(D[first]).min_eigenvalue, 0.0)).max()))
-            bound += P[first].sum(axis=0)
-            sum_D += D[first, :n, :n].sum(axis=0)
+        bound += (_adjoint(X[first]) @ X[first]).sum(axis=0)
+        sum_D += D[first, :n, :n].sum(axis=0)
     steps = [
         Step("each certificate [[E_ii, E_ij], [E_ji, I]] is positive semidefinite", r_psd, EXACT_TOL),
         Step(
@@ -198,9 +239,12 @@ def _scaling_certificate(m: MapId) -> Verdict:
     steps, F = _corner_forcing_steps(m)
     # the largest entry of a PSD matrix lies on its diagonal
     forced = float(F.max())
+    steps.append(Step(f"summed forced bound sum_i X_i1* X_i1 = {forced:g} E_11 against the cap I", 0.0, 0.0))
+    if forced == 0.0:
+        steps.append(Step("forced bound vanishes; no obstruction at any size", 0.0, 0.0))
+        return Verdict(Outcome.INCONCLUSIVE, None, (), tuple(steps))
     # the largest n whose bound n s^2 stays within the cap: n / forced = 1 / s^2
     threshold = int(n // forced)
-    steps.append(Step(f"summed forced bound sum_i X_i1* X_i1 = {forced:g} E_11 against the cap I", 0.0, 0.0))
     I = np.eye(n)
     if forced > 1.0:
         margin = forced - 1.0
@@ -356,9 +400,11 @@ def certify_corner_transpose(n: int) -> Verdict:
     r_sq = r_flip = 0.0
     for P in _projection_stacks(n):
         # each display has degree at most 2 in d, so three values check it
-        # for all d.  The identities stay one matrix at a time: stacked, one
-        # call per (c, d) on each stack or one call per matrix over the six
-        # pairs, they ran slower at n = 24 and 32 on a 2-core x86 machine
+        # for all d.  The identities stay one matrix at a time: one call per
+        # matrix over the six (c, d) pairs ran faster at n = 16 and 24
+        # (0.55 -> 0.19 s, 1.97 -> 1.27 s) but slower at n = 32
+        # (4.5 -> 5.9 s), and one call per (c, d) on each stack gained only
+        # at n = 16 (median of 3, one BLAS thread, 2-core x86 machine)
         for A in P:
             for c in (1.0 + 0.0j, 1.0j):
                 for d in (0.0, 1.0, -1.0):

@@ -155,7 +155,7 @@ def _forcing_steps_one_at_a_time(m):
     return steps, bound
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 5, 16, 17])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 16, 17, 32])
 @pytest.mark.parametrize("kind", [MapKind.QUARTER_TRANSPOSE, MapKind.OFFDIAG_SWAP])
 def test_stacked_forcing_steps_match_one_at_a_time(kind, n):
     m = MapId(kind, n)
@@ -167,6 +167,53 @@ def test_stacked_forcing_steps_match_one_at_a_time(kind, n):
 
     assert [key(s) for s in steps] == [key(s) for s in ref_steps]
     assert (bound.dtype, bound.tobytes()) == (ref_bound.dtype, ref_bound.tobytes())
+
+
+@pytest.mark.parametrize("kind", [MapKind.QUARTER_TRANSPOSE, MapKind.OFFDIAG_SWAP])
+def test_forcing_steps_eigensolve_a_fixed_number_per_n(kind, monkeypatch):
+    """Only the two orbit representatives are eigensolved: the matrices
+    that reach ``is_psd`` and ``schur_implication`` do not grow with n."""
+    seen = {}
+
+    def counted(name, fn):
+        def wrapper(M, *args, **kwargs):
+            seen[name] = seen.get(name, 0) + np.asarray(M)[..., 0, 0].size
+            return fn(M, *args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(certificates, "is_psd", counted("is_psd", certificates.is_psd))
+    monkeypatch.setattr(certificates, "schur_implication", counted("schur", certificates.schur_implication))
+    counts = []
+    for n in (16, 32):
+        seen.clear()
+        steps, _ = certificates._corner_forcing_steps(MapId(kind, n))
+        assert all(s.ok for s in steps)
+        counts.append(dict(seen))
+    # two certificates and D_0, then the two sides of the Schur step on
+    # the two representatives, which reach is_psd from schur_implication
+    assert counts == 2 * [{"is_psd": 2 + 1 + 2 * 2, "schur": 2}]
+
+
+_BLOCKWISE = certificates._blockwise
+
+
+def _bent_blockwise(kind, M):
+    """The map's rule, with half of entry (1, n+1) of the input added to
+    entry (n+1, 1) of the image: the forced corner of pair (1, 1) alone
+    changes, and stays a corner that passes its own Schur step."""
+    out = _BLOCKWISE(kind, M)
+    n = M.shape[-1] // 2
+    out[..., n + 1, 1] += 0.5 * M[..., 1, n + 1]
+    return out
+
+
+@pytest.mark.parametrize("certify, n", [(certify_quarter_transpose, 17), (certify_offdiag_swap, 4)])
+def test_corner_off_its_relabeling_fails_the_schur_step(certify, n, monkeypatch):
+    assert verify_verdict_invariants(certify(n)) == []
+    monkeypatch.setattr(certificates, "_blockwise", _bent_blockwise)
+    problems = verify_verdict_invariants(certify(n))
+    assert problems == ["step 2 residual 5.000e-01 exceeds tolerance 1.000e-10"]
 
 
 def test_forcing_steps_memory_is_bounded():

@@ -10,11 +10,12 @@ same claims pass, so every failure is the mutant's doing.
 """
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
-from opsyscheck import certificates, maps, suite, systems
+from opsyscheck import certificates, cli, maps, suite, systems
 from opsyscheck.linalg import PSD_TOL
 from opsyscheck.maps import MapId, MapKind
 from opsyscheck.suite import RunConfig
@@ -48,6 +49,14 @@ MAP_MUTANTS = {
     "phi-unscaled-lower-left": (
         MapKind.QUARTER_TRANSPOSE,
         {(0, 1): 0.25},
+        certify("phi", 17),
+        "certify.phi.n=17.outcome",
+    ),
+    # vanishing forced corners give no obstruction at any size: the verdict
+    # is Inconclusive, with no threshold, instead of a division by zero
+    "phi-zero-lower-left": (
+        MapKind.QUARTER_TRANSPOSE,
+        {(0, 1): 0.25, (1, 0): 0.0},
         certify("phi", 17),
         "certify.phi.n=17.outcome",
     ),
@@ -88,6 +97,15 @@ def test_map_rule_mutant_fails_its_family(name, mutated, monkeypatch):
     if mutated:
         monkeypatch.setitem(maps._RULES, kind, rule)
     assert statuses(**run)[claim_id] == ("fail" if mutated else "pass")
+
+
+def test_vanishing_forced_bound_exits_one_with_a_report(monkeypatch, capsys):
+    monkeypatch.setitem(maps._RULES, MapKind.QUARTER_TRANSPOSE, {(0, 1): 0.25, (1, 0): 0.0})
+    assert cli.main(["certify", "--which", "phi", "--n", "17", "--output", "json"]) == 1
+    out, err = capsys.readouterr()
+    claims = {c["id"]: c["status"] for c in json.loads(out)["claims"]}
+    assert claims["certify.phi.n=17.outcome"] == "fail"
+    assert err == ""
 
 
 # rule mutants that pass every claim of the suite at n = 1, 2 and 17: no
