@@ -24,6 +24,13 @@ so each is a relabeling of its representative; the forced corners come
 from the map under test, so each of the n^2 is compared exactly with its
 relabeled representative.
 
+The corner-transpose chain's square expansions carry a phase symmetry of
+the same kind, with one generator: conjugation by U = I (+) iI sends
+M = [[A, cbar I], [c I, d I]] at c = 1 to M at c = i.  Both transposes
+are checked to commute with it, exactly, on generators spanning what they
+receive, so the displays at c = i are the U-conjugates of those at c = 1,
+with the same entrywise residual, and only c = 1 is computed.
+
 The seeded search for a PSD input that the full block transpose, the forced
 extension candidate, sends out of the PSD cone is
 ``maps.check_positivity_preserving`` on the psi-transpose map.
@@ -43,6 +50,7 @@ from .linalg import (
     MEMBERSHIP_TOL,
     PSD_TOL,
     _adjoint,
+    _deviation,
     as_squares,
     block2x2,
     hermitian_eigenvalues,
@@ -367,6 +375,25 @@ def lower_right_forcing_check(n: int) -> float:
     return worst
 
 
+def _phase_conjugate(X: np.ndarray) -> np.ndarray:
+    """U X U* for U = I (+) iI, on one matrix or a stack of order 2n: the
+    upper-right block times -i and the lower-left block times i, each entry
+    moved exactly."""
+    n = X.shape[-1] // 2
+    out = X.astype(np.complex128)
+    out[..., :n, n:] *= -1j
+    out[..., n:, :n] *= 1j
+    return out
+
+
+def _phase_covariance_defect(kind: MapKind, X: np.ndarray) -> float:
+    """Largest deviation from T(U X U*) = U T(X) U* over one matrix X of
+    order 2n or a stack, for U = I (+) iI and T the map's rule.  Both sides
+    move entries exactly, with no product of order 2n."""
+    moved = _deviation(_blockwise(kind, _phase_conjugate(X)), _phase_conjugate(_blockwise(kind, X)))
+    return float(np.max(moved))
+
+
 def certify_corner_transpose(n: int) -> Verdict:
     """The corner transpose admits no positive unital extension for n >= 2.
 
@@ -397,23 +424,39 @@ def certify_corner_transpose(n: int) -> Verdict:
     def forced_paired_image(A: np.ndarray, c: complex) -> np.ndarray:
         return forced_image(np.conj(c) * A, c * A)
 
-    r_sq = r_flip = 0.0
+    # at c = 1 the corner transpose receives M = [[A, I], [I, dI]] and the
+    # block transpose M^2 = [[A A + I, A + dI], [A + dI, (1 + d^2) I]].  Where
+    # each commutes with X -> U X U*, U = I (+) iI, on the parts of these,
+    # the displays at c = i, made from U M U*, are the U-conjugates of those
+    # at c = 1, with the same entrywise residual, and need no call of their own
+    # I (+) 0, 0 (+) I and [[0, I], [I, 0]]
+    fixed = np.zeros((3, 2 * n, 2 * n), dtype=np.complex128)
+    fixed[0, :n, :n] = fixed[1, n:, n:] = fixed[2, :n, n:] = fixed[2, n:, :n] = np.eye(n)
+    corner, block = MapKind.CORNER_TRANSPOSE, MapKind.BLOCK_TRANSPOSE
+    r_sq = max(_phase_covariance_defect(corner, fixed), _phase_covariance_defect(block, fixed))
+    r_flip = 0.0
     for P in _projection_stacks(n):
         # each display has degree at most 2 in d, so three values check it
-        # for all d.  The identities stay one matrix at a time: one call per
-        # matrix over the six (c, d) pairs ran faster at n = 16 and 24
-        # (0.55 -> 0.19 s, 1.97 -> 1.27 s) but slower at n = 32
-        # (4.5 -> 5.9 s), and one call per (c, d) on each stack gained only
-        # at n = 16 (median of 3, one BLAS thread, 2-core x86 machine)
+        # for all d
         for A in P:
-            for c in (1.0 + 0.0j, 1.0j):
-                for d in (0.0, 1.0, -1.0):
-                    r_sq = max(r_sq, corner_square_identities(A, c, d))
+            for d in (0.0, 1.0, -1.0):
+                r_sq = max(r_sq, corner_square_identities(A, 1.0, d))
+            # one projection at a time: at n = 32 the generators of whole
+            # stacks took 0.58-0.68 s, mostly faulting in fresh pages, against
+            # 0.22-0.27 s here (one BLAS thread, 2-core x86 VM)
+            Z = np.zeros_like(A)
+            r_sq = max(
+                r_sq,
+                _phase_covariance_defect(corner, block2x2(A, Z, Z, Z)),
+                _phase_covariance_defect(block, block2x2(A @ A, Z, Z, Z)),
+                _phase_covariance_defect(block, block2x2(Z, A, A, Z)),
+            )
         for c in (1.0 + 0.0j, 1.0j):
             r_flip = max(r_flip, float(np.abs(forced_paired_image(P, c) + forced_paired_image(P, -c)).max()))
     step1 = Step(
         "square-expansion identities hold on the self-adjoint spanning set"
-        " with c in {1, i}, pinning the images of Hermitian-paired corners",
+        " with c = 1, and with c = i by conjugation with I (+) iI, which both"
+        " transposes commute with; this pins the images of Hermitian-paired corners",
         r_sq,
         MEMBERSHIP_TOL,
     )

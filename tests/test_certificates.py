@@ -356,6 +356,39 @@ def test_corner_transpose_spanning_set_residuals(n):
     assert steps[3].residual <= 1e-15
 
 
+def _six_display_residual(n: int) -> float:
+    """Step 1 as it ran before the phase symmetry: every projection checked
+    at both c = 1 and c = i, one matrix at a time."""
+    r_sq = 0.0
+    for P in certificates._projection_stacks(n):
+        for A in P:
+            for c in (1.0 + 0.0j, 1.0j):
+                for d in (0.0, 1.0, -1.0):
+                    r_sq = max(r_sq, certificates.corner_square_identities(A, c, d))
+    return r_sq
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_corner_square_step_matches_the_six_display_loop(n):
+    assert certify_corner_transpose(n).narrative[0].residual == _six_display_residual(n)
+
+
+@pytest.mark.parametrize("n", [2, 3, 8])
+def test_corner_square_step_checks_c_one_only(n, monkeypatch):
+    # c = i follows from c = 1 by conjugation with I (+) iI
+    calls = []
+    identities = certificates.corner_square_identities
+
+    def counted(A, c, d):
+        calls.append(c)
+        return identities(A, c, d)
+
+    monkeypatch.setattr(certificates, "corner_square_identities", counted)
+    certify_corner_transpose(n)
+    assert len(calls) == 3 * n * n
+    assert all(c == 1 for c in calls)
+
+
 def test_lower_right_forcing_check_memory_is_bounded():
     # the n^2 feasibility blocks at n = 32 would hold 64 MiB as one stack
     n = 32

@@ -215,6 +215,35 @@ def test_untransposed_squeeze_mutant_fails_its_family(mutated, monkeypatch):
     assert got["certify.gamma.n=2.narrative"] == ("fail" if mutated else "pass")
 
 
+_BLOCKWISE = maps._blockwise
+
+
+def _leaky_blockwise(kind, M):
+    """The map's rule, with the block transpose also adding X_UR - X_LL of
+    its input into the upper-left block of the image."""
+    out = _BLOCKWISE(kind, M)
+    if kind is MapKind.BLOCK_TRANSPOSE:
+        n = M.shape[-1] // 2
+        out[..., :n, :n] += M[..., :n, n:] - M[..., n:, :n]
+    return out
+
+
+@pytest.mark.parametrize("mutated", [False, True], ids=["original", "mutant"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_leaky_block_transpose_fails_the_phase_covariance(n, mutated, monkeypatch):
+    if mutated:
+        monkeypatch.setattr(maps, "_blockwise", _leaky_blockwise)
+        monkeypatch.setattr(certificates, "_blockwise", _leaky_blockwise)
+    # the squares at c = 1 have equal off-diagonal blocks, so no display
+    # there sees the leak
+    for P in certificates._projection_stacks(n):
+        for A in P:
+            for d in (0.0, 1.0, -1.0):
+                assert maps.corner_square_identities(A, 1.0, d) == 0.0
+    step = certificates.certify_corner_transpose(n).narrative[0]
+    assert step.ok is not mutated
+
+
 _SEARCH = maps.estimate_map_norm
 
 
