@@ -20,9 +20,21 @@ applied to both diagonal blocks: (0, 0) reaches every (i, i) and (0, 1)
 every (i, j) with i != j.  Only the two representatives are eigensolved,
 as in the symmetry reduction of PSD certificates of Gatermann and Parrilo
 (J. Pure Appl. Algebra 192, 2004).  The certificates are placed by index,
-so each is a relabeling of its representative; the forced corners come
-from the map under test, so each of the n^2 is compared exactly with its
-relabeled representative.
+so each is a relabeling of its representative; its forced corner is the
+relabeled representative's because the map commutes with relabeling both
+diagonal blocks, which is checked for the two generators of S_n.
+
+Steps that check a linear identity do so by exact evaluation at random
+points instead of on a spanning set (Schwartz, J. ACM 27, 1980; Zippel,
+EUROSAM 1979): the scaling certificates' relabeling covariance, and the
+corner-transpose chain's sign flip (step 2) and Cartesian rebuild (step 3).
+Each independent real coordinate of a point is a uniform integer in
+[-2^10, 2^10); the map factors are 1 and 1/4, so every value stays far
+below 2^53, the arithmetic is exact, and a residual is 0.0 or a real
+failure.  A nonzero identity of degree 1 vanishes at one point with
+probability at most 2^-11, so four independent points prove it up to error
+2^-44.  The points of step k at block size n come from numpy's default
+generator seeded by (k, n) alone, so a verdict still depends on n alone.
 
 The corner-transpose chain's square expansions carry a phase symmetry of
 the same kind, with one generator: conjugation by U = I (+) iI sends
@@ -67,7 +79,7 @@ from .maps import (
     corner_witness,
     quarter_transpose_witness_norm,
 )
-from .systems import SystemId, SystemKind, _block, _embed_fields
+from .systems import _ELEMENT_CLASS, _LAYOUT, Field, Role, SystemId, SystemKind, _block, _embed_fields
 
 
 class Outcome(enum.Enum):
@@ -135,6 +147,61 @@ def schur_implication(P, X, tol: float = PSD_TOL) -> SchurReport:
     )
 
 
+# Randomized identity steps: IDENTITY_POINTS exact evaluations, each real
+# coordinate a uniform integer in [-POINT_BOUND, POINT_BOUND)
+IDENTITY_POINTS = 4
+POINT_BOUND = 1 << 10
+
+
+def _proved(points: str, step: int) -> str:
+    """The tag of a randomized step: its error bound (1/|S|)^r and its seed."""
+    # |S| = 2 POINT_BOUND = 2^11
+    bits = IDENTITY_POINTS * POINT_BOUND.bit_length()
+    return f" (proved up to error 2^-{bits} at {IDENTITY_POINTS} {points} seeded by ({step}, n))"
+
+
+def _point_generator(step: int, n: int) -> np.random.Generator:
+    """The seed rule of every randomized step: numpy's default generator
+    seeded by the step's number in its narrative, counted from 1, and n."""
+    return np.random.default_rng((step, n))
+
+
+def _integer_points(rng: np.random.Generator, shape: tuple[int, ...], field: Field) -> np.ndarray:
+    """A stack of IDENTITY_POINTS arrays of the given shape over the field,
+    each independent real part a uniform integer in [-2^10, 2^10), real
+    parts before imaginary parts."""
+    parts = 2 if field is Field.COMPLEX else 1
+    x = rng.integers(-POINT_BOUND, POINT_BOUND, (parts, IDENTITY_POINTS) + shape).astype(np.float64)
+    if parts == 1:
+        return x[0]
+    z = np.empty(x.shape[1:], dtype=np.complex128)
+    z.real, z.imag = x
+    return z
+
+
+def _domain_points(s: SystemId, step: int) -> np.ndarray:
+    """The (IDENTITY_POINTS, 2n, 2n) seeded integer points of a subsystem:
+    every field of its layout drawn by ``_integer_points``."""
+    rng = _point_generator(step, s.n)
+    fields = {
+        name: _integer_points(rng, () if role is Role.SCALAR else (s.n, s.n), s.field)
+        for name, _, role in _LAYOUT[_ELEMENT_CLASS[s.kind]]
+    }
+    return _embed_fields(s, fields, (IDENTITY_POINTS,))
+
+
+def _hermitian_points(n: int, step: int) -> np.ndarray:
+    """The (IDENTITY_POINTS, n, n) seeded self-adjoint integer points: the
+    real diagonal and the strict upper triangle drawn by
+    ``_integer_points``, the lower triangle its conjugate mirror."""
+    G = _integer_points(_point_generator(step, n), (n, n), Field.COMPLEX)
+    H = np.triu(G, 1)
+    H += _adjoint(H)
+    diagonal = np.arange(n)
+    H[:, diagonal, diagonal] = G.real[:, diagonal, diagonal]
+    return H
+
+
 def _forced_corner(m: MapId, S: np.ndarray) -> np.ndarray:
     """The lower-left block of the map's image of S, or of each matrix of a
     stack: the corner any extension is forced to take on a certificate with
@@ -154,13 +221,23 @@ def _certificate_parts(n: int, i: np.ndarray, j: np.ndarray) -> tuple[np.ndarray
     return D, S
 
 
-def _relabelings(i: np.ndarray, j: np.ndarray, n: int) -> np.ndarray:
-    """For each pair (i, j), a permutation pi of range(n) as an array with
-    pi(0) = i and, when i != j, pi(1) = j; the other indices follow in
-    increasing order.  From n = 3 on some of them are three-cycles."""
-    c = np.arange(n)
-    second = (c == j[:, None]) & (i != j)[:, None]
-    return np.argsort(np.where(c == i[:, None], -2, np.where(second, -1, c)), axis=-1)
+def _relabeling_defect(m: MapId, step: int) -> float:
+    """Largest deviation from T(Pi X Pi^t) = Pi T(X) Pi^t, Pi = pi (+) pi,
+    for T the map's rule and pi the transposition (0 1) and the n-cycle,
+    which generate every permutation of range(n), at the seeded integer
+    points X of the map's domain.  Both sides move entries exactly, and the
+    identity is linear in X."""
+    n = m.n
+    X = _domain_points(m.domain, step)
+    TX = _blockwise(m.kind, X)
+    swap = np.arange(n)
+    swap[:2] = swap[1::-1]
+    worst = 0.0
+    for pi in (swap, np.roll(np.arange(n), 1)):
+        p = np.concatenate([pi, pi + n])
+        moved = _deviation(_blockwise(m.kind, X[:, p[:, None], p]), TX[:, p[:, None], p])
+        worst = max(worst, float(moved.max()))
+    return worst
 
 
 def _corner_forcing_steps(m: MapId) -> tuple[list[Step], np.ndarray]:
@@ -178,14 +255,13 @@ def _corner_forcing_steps(m: MapId) -> tuple[list[Step], np.ndarray]:
     corners X (see ``_forced_corner``) into the lower bound X* X on the
     upper-left value.
 
-    The forced corners come from the map under test, so all n^2 of them
-    are read off the map's image of S_ij, per stack of ``stack_chunks``,
-    and each is compared exactly with its representative's corner relabeled
-    by the pi of ``_relabelings``: X_ij[pi(a), pi(b)] = X_rep[a, b].  Where
-    they agree, the Schur step of X_ij is a relabeling of the
-    representative's; the largest deviation joins that step's residual, so
-    a map that treats one index unlike another fails it.  Returns the steps
-    and the summed bound sum_i X_i1* X_i1 of the map's own corners.
+    Where the map commutes with every such relabeling, each forced corner
+    X_ij is its representative's relabeled, and its Schur step is a
+    relabeling of the representative's.  ``_relabeling_defect`` checks this
+    for the two generators of the permutations, and its residual joins the
+    Schur step's, so a map that treats one index unlike another fails it.
+    Returns the steps and the summed bound sum_i X_i1* X_i1 of the map's
+    own n corners, built per stack of ``stack_chunks``.
     """
     n = m.n
     D, S = _certificate_parts(n, np.zeros(min(n, 2), dtype=int), np.arange(min(n, 2)))
@@ -195,20 +271,16 @@ def _corner_forcing_steps(m: MapId) -> tuple[list[Step], np.ndarray]:
     X_rep = _forced_corner(m, S)
     rep = schur_implication(_adjoint(X_rep) @ X_rep, X_rep, tol=MEMBERSHIP_TOL)
     r_schur = float(np.abs([rep.block_min_eigenvalue, rep.complement_min_eigenvalue]).max())
+    r_schur = max(r_schur, _relabeling_defect(m, 3))
     bound = np.zeros((n, n))
     sum_D = np.zeros((n, n))
-    for start, k in stack_chunks(n * n, 2 * n):
-        i, j = np.divmod(np.arange(start, start + k), n)
-        D, S = _certificate_parts(n, i, j)
+    # the pairs (i, 0), indices from 0: the n distinct diagonal parts and
+    # the corners X_i1 of the summed bound
+    for start, k in stack_chunks(n, 2 * n):
+        D, S = _certificate_parts(n, np.arange(start, start + k), np.zeros(k, dtype=int))
         X = _forced_corner(m, S)
-        pi = _relabelings(i, j, n)
-        pulled = X[np.arange(k)[:, None, None], pi[:, :, None], pi[:, None, :]]
-        r_schur = max(r_schur, float(np.abs(pulled - X_rep[(i != j).astype(int)]).max()))
-        # the diagonal part depends on i alone: the rows with j = 0 hold
-        # its n distinct values and the corners X_i1 of the summed bound
-        first = j == 0
-        bound += (_adjoint(X[first]) @ X[first]).sum(axis=0)
-        sum_D += D[first, :n, :n].sum(axis=0)
+        bound += (_adjoint(X) @ X).sum(axis=0)
+        sum_D += D[:, :n, :n].sum(axis=0)
     steps = [
         Step("each certificate [[E_ii, E_ij], [E_ji, I]] is positive semidefinite", r_psd, EXACT_TOL),
         Step(
@@ -219,7 +291,9 @@ def _corner_forcing_steps(m: MapId) -> tuple[list[Step], np.ndarray]:
         ),
         Step(
             "Schur step: each forced corner X_ij, the lower-left block of that"
-            " image, forces upper-left >= X_ij* X_ij",
+            " image, forces upper-left >= X_ij* X_ij; X_ij is a representative's"
+            " relabeled, as the map commutes with relabeling both diagonal blocks"
+            " by (0 1) and by the n-cycle" + _proved("(Gaussian-)integer points of its domain", 3),
             r_schur,
             MEMBERSHIP_TOL,
         ),
@@ -394,6 +468,61 @@ def _phase_covariance_defect(kind: MapKind, X: np.ndarray) -> float:
     return float(np.max(moved))
 
 
+def _forced_image(B: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """The table's blockwise transpose of [[0, B], [C, 0]], for stacks B and
+    C: a scalar-diagonal matrix with zero scalars."""
+    s = SystemId(SystemKind.SCALAR_DIAGONAL, C.shape[-1])
+    fields = {"a": 0.0, "d": 0.0, "B": B, "C": C}
+    return _blockwise(MapKind.BLOCK_TRANSPOSE, _embed_fields(s, fields, C.shape[:-2]))
+
+
+def _forced_paired_image(A: np.ndarray, c: complex) -> np.ndarray:
+    """The forced image of the Hermitian-paired corners cbar A and c A."""
+    return _forced_image(np.conj(c) * A, c * A)
+
+
+def _rebuilt_image(X: np.ndarray) -> np.ndarray:
+    """The forced image of the lower corner X, for self-adjoint X, from its
+    paired images at c = 1 and c = i."""
+    return 0.5 * (_forced_paired_image(X, 1.0) + (1.0 / 1.0j) * _forced_paired_image(X, 1.0j))
+
+
+def _sign_flip_step(n: int) -> Step:
+    """Step 2 of the corner-transpose chain: F(P, c) + F(P, -c) = 0 for
+    c = 1 and i, F the forced paired image, at the seeded self-adjoint
+    points P.  The identity is linear in P."""
+    P = _hermitian_points(n, 2)
+    flips = (_forced_paired_image(P, c) + _forced_paired_image(P, -c) for c in (1.0 + 0.0j, 1.0j))
+    return Step(
+        "sign flip c -> -c negates the forced image, for c = 1 and i, so the"
+        " pinning is linear in the corner" + _proved("self-adjoint Gaussian-integer points", 2),
+        max(float(np.abs(F).max()) for F in flips),
+        EXACT_TOL,
+    )
+
+
+def _rebuild_step(n: int) -> Step:
+    """Step 3 of the corner-transpose chain: the forced image of each seeded
+    corner C, rebuilt from its Cartesian parts A = (C + C*)/2 and
+    B = (C - C*)/2i, with the parts' deviation from self-adjointness.  The
+    identity is real-linear in C, and halving integers is exact."""
+    C = _integer_points(_point_generator(3, n), (n, n), Field.COMPLEX)
+    Ch = _adjoint(C)
+    A = (C + Ch) / 2.0
+    B = (C - Ch) / 2.0j
+    lower_img = _rebuilt_image(A) + 1.0j * _rebuilt_image(B)
+    residual = max(
+        float(hermiticity_defect(np.stack([A, B])).max()),
+        float(np.abs(lower_img - _forced_image(np.zeros_like(C), C)).max()),
+    )
+    return Step(
+        "Cartesian decomposition C = A + iB rebuilds the forced image of an"
+        " arbitrary lower corner as its blockwise transpose" + _proved("Gaussian-integer corners C", 3),
+        residual,
+        EXACT_TOL,
+    )
+
+
 def certify_corner_transpose(n: int) -> Verdict:
     """The corner transpose admits no positive unital extension for n >= 2.
 
@@ -404,26 +533,18 @@ def certify_corner_transpose(n: int) -> Verdict:
     the lower-right values.  The blockwise transpose then fails positivity
     on the rank-one corner witness, whose image has eigenvalue exactly -1.
 
-    Every step is checked on a finite spanning set (rank-one projections,
-    or the corners E_kl and i E_kl), and linearity carries it to every
-    input, so nothing is drawn and the verdict depends on n alone.
+    Steps 1 and 4 are checked on the rank-one projections, which span the
+    self-adjoint matrices, and linearity carries them to every input.  The
+    linear identities of steps 2 and 3 are checked exactly at seeded integer
+    points, self-adjoint ones for step 2 and arbitrary corners for step 3,
+    and hold up to error 2^-44.  The seeds depend on the step and on n
+    alone, so the verdict depends on n alone.
     """
     MapId(MapKind.CORNER_TRANSPOSE, n)  # raises ValueError unless n >= 1
     if n == 1:
         return _identity_extension(
             "at n = 1 the upper-left block is a scalar, so the map is the identity", np.complex128
         )
-    # the forced images are scalar-diagonal matrices with zero scalars
-    s = SystemId(SystemKind.SCALAR_DIAGONAL, n)
-
-    def forced_image(B: np.ndarray, C: np.ndarray) -> np.ndarray:
-        """The table's blockwise transpose of [[0, B], [C, 0]], for stacks B and C."""
-        fields = {"a": 0.0, "d": 0.0, "B": B, "C": C}
-        return _blockwise(MapKind.BLOCK_TRANSPOSE, _embed_fields(s, fields, C.shape[:-2]))
-
-    def forced_paired_image(A: np.ndarray, c: complex) -> np.ndarray:
-        return forced_image(np.conj(c) * A, c * A)
-
     # at c = 1 the corner transpose receives M = [[A, I], [I, dI]] and the
     # block transpose M^2 = [[A A + I, A + dI], [A + dI, (1 + d^2) I]].  Where
     # each commutes with X -> U X U*, U = I (+) iI, on the parts of these,
@@ -434,7 +555,6 @@ def certify_corner_transpose(n: int) -> Verdict:
     fixed[0, :n, :n] = fixed[1, n:, n:] = fixed[2, :n, n:] = fixed[2, n:, :n] = np.eye(n)
     corner, block = MapKind.CORNER_TRANSPOSE, MapKind.BLOCK_TRANSPOSE
     r_sq = max(_phase_covariance_defect(corner, fixed), _phase_covariance_defect(block, fixed))
-    r_flip = 0.0
     for P in _projection_stacks(n):
         # each display has degree at most 2 in d, so three values check it
         # for all d
@@ -451,8 +571,6 @@ def certify_corner_transpose(n: int) -> Verdict:
                 _phase_covariance_defect(block, block2x2(A @ A, Z, Z, Z)),
                 _phase_covariance_defect(block, block2x2(Z, A, A, Z)),
             )
-        for c in (1.0 + 0.0j, 1.0j):
-            r_flip = max(r_flip, float(np.abs(forced_paired_image(P, c) + forced_paired_image(P, -c)).max()))
     step1 = Step(
         "square-expansion identities hold on the self-adjoint spanning set"
         " with c = 1, and with c = i by conjugation with I (+) iI, which both"
@@ -460,34 +578,7 @@ def certify_corner_transpose(n: int) -> Verdict:
         r_sq,
         MEMBERSHIP_TOL,
     )
-    step2 = Step(
-        "sign flip c -> -c negates the forced image, so the pinning is linear in the corner", r_flip, EXACT_TOL
-    )
-
-    # the forced image of the lower corner X, for self-adjoint X, from its
-    # paired images at c = 1 and c = i
-    def rebuilt_image(X: np.ndarray) -> np.ndarray:
-        return 0.5 * (forced_paired_image(X, 1.0) + (1.0 / 1.0j) * forced_paired_image(X, 1.0j))
-
-    # the rebuild and its target are real-linear in C, so the 2n^2 corners
-    # E_kl and i E_kl prove it for every C
-    r_rec = 0.0
-    for start, k in stack_chunks(2 * n * n, 2 * n):
-        t = np.arange(start, start + k)
-        C = np.zeros((k, n, n), dtype=np.complex128)
-        C[np.arange(k), t % (n * n) // n, t % n] = np.where(t < n * n, 1.0, 1.0j)
-        Ch = C.conj().swapaxes(-1, -2)
-        A = (C + Ch) / 2.0
-        B = (C - Ch) / 2.0j
-        lower_img = rebuilt_image(A) + 1.0j * rebuilt_image(B)
-        r_rec = max(r_rec, float(hermiticity_defect(np.stack([A, B])).max()))
-        r_rec = max(r_rec, float(np.abs(lower_img - forced_image(np.zeros_like(C), C)).max()))
-    step3 = Step(
-        "Cartesian decomposition C = A + iB rebuilds the forced image of an"
-        " arbitrary lower corner as its blockwise transpose",
-        r_rec,
-        EXACT_TOL,
-    )
+    step2, step3 = _sign_flip_step(n), _rebuild_step(n)
 
     step4 = Step(
         "PSD squeeze pins the extension's lower-right values (pseudoinverse restricted to the range)",

@@ -1,7 +1,8 @@
 """Mutation checks: each mutant of a map's rule, of the closed-form
 positivity criterion, of the scaling certificates' summed bound, of the
-squeeze bounds or of the norm search's reported bound makes a claim of its
-own family fail.  The three rule mutants that pass every claim fail the
+squeeze bounds, of the block transpose that the corner-transpose chain
+forces or of the norm search's reported bound makes a claim or a
+certificate step of its own family fail.  The three rule mutants that pass every claim fail the
 block-by-block image of ``test_maps.golden_case`` instead.
 
 A mutant is installed with ``monkeypatch`` for one test only; nothing in the
@@ -16,9 +17,10 @@ import numpy as np
 import pytest
 
 from opsyscheck import certificates, cli, maps, suite, systems
-from opsyscheck.linalg import PSD_TOL
+from opsyscheck.linalg import EXACT_TOL, PSD_TOL
 from opsyscheck.maps import MapId, MapKind
 from opsyscheck.suite import RunConfig
+from test_certificates import _rebuild_spanning_residual, _sign_flip_spanning_residual
 from test_maps import golden_case
 
 
@@ -242,6 +244,47 @@ def test_leaky_block_transpose_fails_the_phase_covariance(n, mutated, monkeypatc
                 assert maps.corner_square_identities(A, 1.0, d) == 0.0
     step = certificates.certify_corner_transpose(n).narrative[0]
     assert step.ok is not mutated
+
+
+def _antilinear_blockwise(kind, M):
+    """The map's rule, with the block transpose putting conj(C)^t for C^t
+    in the lower-left block of the image: still odd in its input, so the
+    sign flip holds, but only real-linear."""
+    out = _BLOCKWISE(kind, M)
+    if kind is MapKind.BLOCK_TRANSPOSE:
+        n = M.shape[-1] // 2
+        out[..., n:, :n] = np.conj(out[..., n:, :n])
+    return out
+
+
+def _affine_blockwise(kind, M):
+    """The map's rule, with the block transpose also adding the matrix unit
+    at entry (n, 0) of its image: the Cartesian rebuild carries the
+    constant through, but the sign flip doubles it."""
+    out = _BLOCKWISE(kind, M)
+    if kind is MapKind.BLOCK_TRANSPOSE:
+        n = M.shape[-1] // 2
+        out[..., n, 0] += 1.0
+    return out
+
+
+# (mutated block transpose, the corner-transpose step it fails, counted from
+# 1, and that step's spanning-set form, kept as a test reference)
+STEP_MUTANTS = {
+    "antilinear-block-transpose": (_antilinear_blockwise, 3, _rebuild_spanning_residual),
+    "affine-block-transpose": (_affine_blockwise, 2, _sign_flip_spanning_residual),
+}
+
+
+@pytest.mark.parametrize("mutated", [False, True], ids=["original", "mutant"])
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("name", list(STEP_MUTANTS))
+def test_block_transpose_mutant_fails_its_randomized_step(name, n, mutated, monkeypatch):
+    blockwise, step, spanning = STEP_MUTANTS[name]
+    if mutated:
+        monkeypatch.setattr(certificates, "_blockwise", blockwise)
+    assert certificates.certify_corner_transpose(n).narrative[step - 1].ok is not mutated
+    assert (spanning(n) > EXACT_TOL) is mutated
 
 
 _SEARCH = maps.estimate_map_norm
