@@ -1,47 +1,46 @@
 """Extension certificates: exact thresholds where positive extension fails.
 
-Each certify_* routine replays a forcing argument numerically, on finite
-spanning sets and without draws, so a verdict depends on n alone.  The
-logic is always the same: assume some positive unital map on the full
-matrix algebra agrees with the restricted map on its subspace, derive
-values the extension is forced to take on specific PSD certificates, and
-compare the forced values against what positivity allows.  The comparison
-reduces to an exact integer threshold in the block size n; the narrative
-records every computed residual along the way, and a Contradiction verdict
-carries the violating witness pair together with its eigenvalue margin.
+Each certify_* routine replays a forcing argument numerically and without
+draws: a step that is not a linear identity runs on a finite spanning set,
+and a linear identity at seeded integer points (below), so a verdict
+depends on n alone.  The logic is always the same: assume some positive
+unital map on the full matrix algebra agrees with the restricted map on
+its subspace, derive values the extension is forced to take on specific
+PSD certificates, and compare the forced values against what positivity
+allows.  The comparison reduces to an exact integer threshold in the block
+size n; the narrative records every computed residual along the way, and a
+Contradiction verdict carries the violating witness pair together with its
+eigenvalue margin.
 
 Nothing here proves an extension exists.  Below threshold the verdict is
 Inconclusive, except in the degenerate sizes where the map is the identity
 and the identity map of the algebra is exhibited as an extension.
 
-The n^2 certificates [[E_ii, E_ij], [E_ji, I]] of the two corner-scaling
-certificates fall into two orbits under one permutation of the indices
-applied to both diagonal blocks: (0, 0) reaches every (i, i) and (0, 1)
-every (i, j) with i != j.  Only the two representatives are eigensolved,
-as in the symmetry reduction of PSD certificates of Gatermann and Parrilo
-(J. Pure Appl. Algebra 192, 2004).  The certificates are placed by index,
-so each is a relabeling of its representative; its forced corner is the
-relabeled representative's because the map commutes with relabeling both
-diagonal blocks, which is checked for the two generators of S_n.
+Two chains rest on a symmetry: where the map T commutes with conjugation
+by a monomial unitary W, T(W X W*) = W T(X) W*, a step checked on X holds
+on W X W* with the same spectrum and the same entrywise residual, and is
+not checked again.  The n^2 certificates [[E_ii, E_ij], [E_ji, I]] of the
+two corner-scaling certificates fall into two orbits under W = pi (+) pi,
+one permutation of the indices applied to both diagonal blocks: (0, 0)
+reaches every (i, i) and (0, 1) every (i, j) with i != j, so only the two
+representatives are eigensolved, as in the symmetry reduction of PSD
+certificates of Gatermann and Parrilo (J. Pure Appl. Algebra 192, 2004),
+and covariance is checked for the two generators of S_n.  The
+corner-transpose chain's square expansions take W = U = I (+) iI, which
+sends M = [[A, cbar I], [c I, d I]] at c = 1 to M at c = i, so only c = 1
+is computed, and covariance of both transposes is checked on all of M_2n.
 
 Steps that check a linear identity do so by exact evaluation at random
 points instead of on a spanning set (Schwartz, J. ACM 27, 1980; Zippel,
-EUROSAM 1979): the scaling certificates' relabeling covariance, and the
-corner-transpose chain's sign flip (step 2) and Cartesian rebuild (step 3).
-Each independent real coordinate of a point is a uniform integer in
-[-2^10, 2^10); the map factors are 1 and 1/4, so every value stays far
+EUROSAM 1979): both covariances, and the corner-transpose chain's sign
+flip (step 2) and Cartesian rebuild (step 3).  Each independent real
+coordinate of a point is a uniform integer in [-2^10, 2^10); the map
+factors are 1 and 1/4 and the phases 1 and i, so every value stays far
 below 2^53, the arithmetic is exact, and a residual is 0.0 or a real
 failure.  A nonzero identity of degree 1 vanishes at one point with
 probability at most 2^-11, so four independent points prove it up to error
 2^-44.  The points of step k at block size n come from numpy's default
 generator seeded by (k, n) alone, so a verdict still depends on n alone.
-
-The corner-transpose chain's square expansions carry a phase symmetry of
-the same kind, with one generator: conjugation by U = I (+) iI sends
-M = [[A, cbar I], [c I, d I]] at c = 1 to M at c = i.  Both transposes
-are checked to commute with it, exactly, on generators spanning what they
-receive, so the displays at c = i are the U-conjugates of those at c = 1,
-with the same entrywise residual, and only c = 1 is computed.
 
 The seeded search for a PSD input that the full block transpose, the forced
 extension candidate, sends out of the PSD cone is
@@ -221,21 +220,17 @@ def _certificate_parts(n: int, i: np.ndarray, j: np.ndarray) -> tuple[np.ndarray
     return D, S
 
 
-def _relabeling_defect(m: MapId, step: int) -> float:
-    """Largest deviation from T(Pi X Pi^t) = Pi T(X) Pi^t, Pi = pi (+) pi,
-    for T the map's rule and pi the transposition (0 1) and the n-cycle,
-    which generate every permutation of range(n), at the seeded integer
-    points X of the map's domain.  Both sides move entries exactly, and the
-    identity is linear in X."""
-    n = m.n
-    X = _domain_points(m.domain, step)
-    TX = _blockwise(m.kind, X)
-    swap = np.arange(n)
-    swap[:2] = swap[1::-1]
+def _covariance_defect(kind: MapKind, X: np.ndarray, monomials: list[tuple[np.ndarray, np.ndarray]]) -> float:
+    """Largest deviation from T(W X W*) = W T(X) W* at the stack of points
+    X, for T the map's rule and each monomial unitary W = diag(w) Pi, given
+    as a pair (p, w) of a permutation p of range(2n) and a phase vector w:
+    (W Y W*)_kl = w_k Y_p(k)p(l) conj(w_l).  The phases are 1 or i, so both
+    sides move entries exactly, and the identity is linear in X."""
+    TX = _blockwise(kind, X)
     worst = 0.0
-    for pi in (swap, np.roll(np.arange(n), 1)):
-        p = np.concatenate([pi, pi + n])
-        moved = _deviation(_blockwise(m.kind, X[:, p[:, None], p]), TX[:, p[:, None], p])
+    for p, w in monomials:
+        phases = w[:, None] * np.conj(w)
+        moved = _deviation(_blockwise(kind, phases * X[:, p[:, None], p]), phases * TX[:, p[:, None], p])
         worst = max(worst, float(moved.max()))
     return worst
 
@@ -257,9 +252,11 @@ def _corner_forcing_steps(m: MapId) -> tuple[list[Step], np.ndarray]:
 
     Where the map commutes with every such relabeling, each forced corner
     X_ij is its representative's relabeled, and its Schur step is a
-    relabeling of the representative's.  ``_relabeling_defect`` checks this
-    for the two generators of the permutations, and its residual joins the
-    Schur step's, so a map that treats one index unlike another fails it.
+    relabeling of the representative's.  ``_covariance_defect`` checks this
+    for Pi = pi (+) pi, pi the transposition (0 1) and the n-cycle, which
+    generate every permutation of range(n), at the seeded integer points of
+    the map's domain.  Its residual joins the Schur step's, so a map that
+    treats one index unlike another fails it.
     Returns the steps and the summed bound sum_i X_i1* X_i1 of the map's
     own n corners, built per stack of ``stack_chunks``.
     """
@@ -271,7 +268,10 @@ def _corner_forcing_steps(m: MapId) -> tuple[list[Step], np.ndarray]:
     X_rep = _forced_corner(m, S)
     rep = schur_implication(_adjoint(X_rep) @ X_rep, X_rep, tol=MEMBERSHIP_TOL)
     r_schur = float(np.abs([rep.block_min_eigenvalue, rep.complement_min_eigenvalue]).max())
-    r_schur = max(r_schur, _relabeling_defect(m, 3))
+    swap = np.arange(n)
+    swap[:2] = swap[1::-1]
+    relabelings = [(np.concatenate([pi, pi + n]), np.ones(2 * n)) for pi in (swap, np.roll(np.arange(n), 1))]
+    r_schur = max(r_schur, _covariance_defect(m.kind, _domain_points(m.domain, 3), relabelings))
     bound = np.zeros((n, n))
     sum_D = np.zeros((n, n))
     # the pairs (i, 0), indices from 0: the n distinct diagonal parts and
@@ -449,25 +449,6 @@ def lower_right_forcing_check(n: int) -> float:
     return worst
 
 
-def _phase_conjugate(X: np.ndarray) -> np.ndarray:
-    """U X U* for U = I (+) iI, on one matrix or a stack of order 2n: the
-    upper-right block times -i and the lower-left block times i, each entry
-    moved exactly."""
-    n = X.shape[-1] // 2
-    out = X.astype(np.complex128)
-    out[..., :n, n:] *= -1j
-    out[..., n:, :n] *= 1j
-    return out
-
-
-def _phase_covariance_defect(kind: MapKind, X: np.ndarray) -> float:
-    """Largest deviation from T(U X U*) = U T(X) U* over one matrix X of
-    order 2n or a stack, for U = I (+) iI and T the map's rule.  Both sides
-    move entries exactly, with no product of order 2n."""
-    moved = _deviation(_blockwise(kind, _phase_conjugate(X)), _phase_conjugate(_blockwise(kind, X)))
-    return float(np.max(moved))
-
-
 def _forced_image(B: np.ndarray, C: np.ndarray) -> np.ndarray:
     """The table's blockwise transpose of [[0, B], [C, 0]], for stacks B and
     C: a scalar-diagonal matrix with zero scalars."""
@@ -533,12 +514,13 @@ def certify_corner_transpose(n: int) -> Verdict:
     the lower-right values.  The blockwise transpose then fails positivity
     on the rank-one corner witness, whose image has eigenvalue exactly -1.
 
-    Steps 1 and 4 are checked on the rank-one projections, which span the
-    self-adjoint matrices, and linearity carries them to every input.  The
-    linear identities of steps 2 and 3 are checked exactly at seeded integer
-    points, self-adjoint ones for step 2 and arbitrary corners for step 3,
-    and hold up to error 2^-44.  The seeds depend on the step and on n
-    alone, so the verdict depends on n alone.
+    Step 1's square expansions and step 4's squeeze are checked on the
+    rank-one projections, which span the self-adjoint matrices, and
+    linearity carries them to every input.  The linear identities, step 1's
+    I (+) iI covariance and steps 2 and 3, are checked exactly at seeded
+    integer points, of all of M_2n for step 1, self-adjoint ones for step 2
+    and arbitrary corners for step 3, and hold up to error 2^-44.  The seeds
+    depend on the step and on n alone, so the verdict depends on n alone.
     """
     MapId(MapKind.CORNER_TRANSPOSE, n)  # raises ValueError unless n >= 1
     if n == 1:
@@ -546,35 +528,24 @@ def certify_corner_transpose(n: int) -> Verdict:
             "at n = 1 the upper-left block is a scalar, so the map is the identity", np.complex128
         )
     # at c = 1 the corner transpose receives M = [[A, I], [I, dI]] and the
-    # block transpose M^2 = [[A A + I, A + dI], [A + dI, (1 + d^2) I]].  Where
-    # each commutes with X -> U X U*, U = I (+) iI, on the parts of these,
-    # the displays at c = i, made from U M U*, are the U-conjugates of those
-    # at c = 1, with the same entrywise residual, and need no call of their own
-    # I (+) 0, 0 (+) I and [[0, I], [I, 0]]
-    fixed = np.zeros((3, 2 * n, 2 * n), dtype=np.complex128)
-    fixed[0, :n, :n] = fixed[1, n:, n:] = fixed[2, :n, n:] = fixed[2, n:, :n] = np.eye(n)
-    corner, block = MapKind.CORNER_TRANSPOSE, MapKind.BLOCK_TRANSPOSE
-    r_sq = max(_phase_covariance_defect(corner, fixed), _phase_covariance_defect(block, fixed))
+    # block transpose M^2, and U M U*, U = I (+) iI, is M at c = i.  Both
+    # commute with X -> U X U* on all of M_2n, so the displays at c = i are
+    # the U-conjugates of those at c = 1, with the same entrywise residual,
+    # and need no call of their own
+    X = _integer_points(_point_generator(1, n), (2 * n, 2 * n), Field.COMPLEX)
+    U = [(np.arange(2 * n), np.repeat([1.0, 1.0j], n))]
+    r_sq = max(_covariance_defect(kind, X, U) for kind in (MapKind.CORNER_TRANSPOSE, MapKind.BLOCK_TRANSPOSE))
     for P in _projection_stacks(n):
         # each display has degree at most 2 in d, so three values check it
         # for all d
         for A in P:
             for d in (0.0, 1.0, -1.0):
                 r_sq = max(r_sq, corner_square_identities(A, 1.0, d))
-            # one projection at a time: at n = 32 the generators of whole
-            # stacks took 0.58-0.68 s, mostly faulting in fresh pages, against
-            # 0.22-0.27 s here (one BLAS thread, 2-core x86 VM)
-            Z = np.zeros_like(A)
-            r_sq = max(
-                r_sq,
-                _phase_covariance_defect(corner, block2x2(A, Z, Z, Z)),
-                _phase_covariance_defect(block, block2x2(A @ A, Z, Z, Z)),
-                _phase_covariance_defect(block, block2x2(Z, A, A, Z)),
-            )
     step1 = Step(
         "square-expansion identities hold on the self-adjoint spanning set"
         " with c = 1, and with c = i by conjugation with I (+) iI, which both"
-        " transposes commute with; this pins the images of Hermitian-paired corners",
+        " transposes commute with" + _proved("Gaussian-integer points of M_2n", 1) + "; this pins the"
+        " images of Hermitian-paired corners",
         r_sq,
         MEMBERSHIP_TOL,
     )

@@ -404,20 +404,74 @@ def _rebuild_spanning_residual(n: int) -> float:
     return r_rec
 
 
+def _phase_spanning_residual(n: int) -> float:
+    """Step 1's I (+) iI covariance as it ran on the spanning set: the
+    corner transpose on A (+) 0 and the block transpose on A^2 (+) 0 and
+    [[0, A], [A, 0]] for every rank-one projection A, and both on I (+) 0,
+    0 (+) I and [[0, I], [I, 0]].  U X U* is X with its upper-right block
+    times -i and its lower-left block times i."""
+
+    def conjugated(X):
+        out = X.astype(np.complex128)
+        out[..., :n, n:] *= -1j
+        out[..., n:, :n] *= 1j
+        return out
+
+    def defect(kind, X):
+        T = certificates._blockwise
+        return float(np.abs(T(kind, conjugated(X)) - conjugated(T(kind, X))).max())
+
+    corner, block = MapKind.CORNER_TRANSPOSE, MapKind.BLOCK_TRANSPOSE
+    fixed = np.zeros((3, 2 * n, 2 * n), dtype=np.complex128)
+    fixed[0, :n, :n] = fixed[1, n:, n:] = fixed[2, :n, n:] = fixed[2, n:, :n] = np.eye(n)
+    r_phase = max(defect(corner, fixed), defect(block, fixed))
+    for P in certificates._projection_stacks(n):
+        Z = np.zeros_like(P)
+        r_phase = max(
+            r_phase,
+            defect(corner, block2x2(P, Z, Z, Z)),
+            defect(block, block2x2(P @ P, Z, Z, Z)),
+            defect(block, block2x2(Z, P, P, Z)),
+        )
+    return r_phase
+
+
+def _relabeling_residual(kind: MapKind, n: int) -> float:
+    """The Schur step's relabeling check alone: pi (+) pi for pi the
+    transposition (0 1) and the n-cycle, at the seeded points (3, n) of the
+    map's domain."""
+    swap = np.arange(n)
+    swap[:2] = swap[1::-1]
+    relabelings = [(np.concatenate([pi, pi + n]), np.ones(2 * n)) for pi in (swap, np.roll(np.arange(n), 1))]
+    X = certificates._domain_points(MapId(kind, n).domain, 3)
+    return certificates._covariance_defect(kind, X, relabelings)
+
+
+def _linear_steps(n: int, monkeypatch) -> tuple[Step, ...]:
+    """Steps 1-3 of the corner-transpose chain with the spanning set
+    emptied, so that step 1's residual is its I (+) iI covariance check
+    alone and the squeeze checks nothing."""
+    monkeypatch.setattr(certificates, "_projection_stacks", lambda n: iter(()))
+    return certify_corner_transpose(n).narrative[:3]
+
+
 @pytest.mark.parametrize("n", [2, 3, 5, 8])
-def test_randomized_steps_match_the_spanning_loops(n):
+def test_randomized_steps_match_the_spanning_loops(n, monkeypatch):
     steps = certify_corner_transpose(n).narrative
     assert steps[1].residual == _sign_flip_spanning_residual(n) == 0.0
     assert steps[2].residual == _rebuild_spanning_residual(n) == 0.0
+    phase = _phase_spanning_residual(n)
+    assert _linear_steps(n, monkeypatch)[0].residual == phase == 0.0
     for kind in (MapKind.QUARTER_TRANSPOSE, MapKind.OFFDIAG_SWAP):
-        assert certificates._relabeling_defect(MapId(kind, n), 3) == 0.0
+        assert _relabeling_residual(kind, n) == 0.0
 
 
-def test_randomized_residuals_are_exact_at_n_64():
+def test_randomized_residuals_are_exact_at_n_64(monkeypatch):
     n = 64
     for kind in (MapKind.QUARTER_TRANSPOSE, MapKind.OFFDIAG_SWAP):
-        assert certificates._relabeling_defect(MapId(kind, n), 3) == 0.0
-    for step in (certificates._sign_flip_step(n), certificates._rebuild_step(n)):
+        assert _relabeling_residual(kind, n) == 0.0
+    # step 1's phase check of both transposes, the sign flip and the rebuild
+    for step in _linear_steps(n, monkeypatch):
         assert step.residual == 0.0
         assert "proved up to error 2^-44" in step.description
 
@@ -426,16 +480,25 @@ def test_randomized_residuals_are_exact_at_n_64():
 def test_identity_points_are_seeded_integers(n):
     """The points depend on (step, n) alone, not on numpy's global
     generator, and every real part is an integer in [-2^10, 2^10)."""
+
+    def phase_points():
+        # step 1's points of all of M_2n
+        rng = certificates._point_generator(1, n)
+        return certificates._integer_points(rng, (2 * n, 2 * n), systems.Field.COMPLEX)
+
     np.random.seed(1)
     H = certificates._hermitian_points(n, 2)
+    Z = phase_points()
     kinds = (MapKind.QUARTER_TRANSPOSE, MapKind.OFFDIAG_SWAP)
     X = {kind: certificates._domain_points(MapId(kind, n).domain, 3) for kind in kinds}
     np.random.seed(2)
     assert np.array_equal(H, certificates._hermitian_points(n, 2))
     assert not np.array_equal(H, certificates._hermitian_points(n, 3))
     assert H.shape == (4, n, n) and float(hermiticity_defect(H).max()) == 0.0
+    assert np.array_equal(Z, phase_points())
+    assert Z.shape == (4, 2 * n, 2 * n) and Z.dtype == np.complex128
     assert X[MapKind.OFFDIAG_SWAP].dtype == np.float64
-    for P in [H, *X.values()]:
+    for P in [H, Z, *X.values()]:
         parts = np.stack([P.real, P.imag])
         assert np.array_equal(parts, np.floor(parts))
         assert parts.min() >= -1024 and parts.max() < 1024
