@@ -70,7 +70,6 @@ from .certificates import (
     certify_quarter_transpose,
     lower_right_forcing_check,
     schur_implication,
-    squeeze_bounds,
     verify_verdict_invariants,
 )
 from .report import (

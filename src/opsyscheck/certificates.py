@@ -42,6 +42,12 @@ probability at most 2^-11, so four independent points prove it up to error
 2^-44.  The points of step k at block size n come from numpy's default
 generator seeded by (k, n) alone, so a verdict still depends on n alone.
 
+The corner-transpose chain's square expansions (step 1) and squeeze (step
+4) run on the n^2 rank-one projections of ``_projection_stacks``, whose
+entries 0, 1, 1/2 and +-i/2 are exact, so they too check polynomial
+identities exactly and are gated at 0.0: step 4 checks that each
+transposed projection is orthogonal, and so its own pseudoinverse.
+
 The seeded search for a PSD input that the full block transpose, the forced
 extension candidate, sends out of the PSD cone is
 ``maps.check_positivity_preserving`` on the psi-transpose map.
@@ -56,7 +62,6 @@ import numpy as np
 
 from .linalg import (
     EXACT_TOL,
-    IDENTITY_TOL,
     MARGIN,
     MEMBERSHIP_TOL,
     PSD_TOL,
@@ -396,24 +401,6 @@ def certify_offdiag_swap(n: int) -> Verdict:
     return _scaling_certificate(m)
 
 
-def squeeze_bounds(D) -> tuple[np.ndarray, np.ndarray]:
-    """Range-restricted Schur bounds forcing the lower-right value on D^t.
-
-    For 0 <= D <= I, positivity of [[D^t, D^t], [D^t, X]] forces
-    X >= D^t (D^t)^+ D^t and the complementary certificate built from I - D
-    forces X <= I - (I - D^t)(I - D^t)^+(I - D^t); both sides collapse to
-    D^t.  Pseudoinverses cut singular values below MEMBERSHIP_TOL (relative
-    to the largest).  D may be one matrix or a stack; the bounds come back
-    in its shape.
-    """
-    Dt = np.asarray(D, dtype=np.complex128).swapaxes(-1, -2)
-    I = np.eye(Dt.shape[-1], dtype=np.complex128)
-    lower = Dt @ np.linalg.pinv(Dt, rcond=MEMBERSHIP_TOL) @ Dt
-    J = I - Dt
-    upper = I - J @ np.linalg.pinv(J, rcond=MEMBERSHIP_TOL) @ J
-    return lower, upper
-
-
 def _projection_stacks(n: int):
     """The n^2 rank-one projections onto e_k, (e_k + e_l)/sqrt(2) and
     (e_k + i e_l)/sqrt(2) for k < l, in stacks of ``stack_chunks`` at order
@@ -432,20 +419,17 @@ def _projection_stacks(n: int):
 
 
 def lower_right_forcing_check(n: int) -> float:
-    """Worst residual of the squeeze X = D^t over the rank-one projections
-    of ``_projection_stacks``.  They span the self-adjoint matrices and the
-    extension is linear, so pinning its values on them pins them on every
-    0 <= D <= I.
-
-    The feasibility term is the smallest eigenvalue of the forced image
-    [[D^t, D^t], [D^t, D^t]], whose spectrum is 2 spec(D^t) and n zeros,
-    so it is min(0, 2 lambda_min(D^t)) from an n x n eigensolve."""
+    """Worst residual max(|D^t - (D^t)*|, |D^t D^t - D^t|) over the rank-one
+    projections D of ``_projection_stacks``, 0.0 when each D^t is an
+    orthogonal projection and so its own pseudoinverse (Penrose, Proc.
+    Cambridge Philos. Soc. 51, 1955): both squeeze bounds D^t (D^t)^+ D^t
+    and I - J J^+ J, J = I - D^t, are then D^t.  The projections span the
+    self-adjoint matrices and the extension is linear, so pinning its
+    values on them pins them on every 0 <= D <= I."""
     worst = 0.0
     for D in _projection_stacks(n):
-        lower, upper = squeeze_bounds(D)
         Dt = D.swapaxes(-1, -2)
-        feas_min = min(0.0, 2.0 * float(is_psd(Dt).min_eigenvalue.min()))
-        worst = max(worst, float(np.abs(lower - Dt).max()), float(np.abs(upper - Dt).max()), -feas_min)
+        worst = max(worst, float(hermiticity_defect(Dt).max()), float(np.abs(Dt @ Dt - Dt).max()))
     return worst
 
 
@@ -478,7 +462,7 @@ def _sign_flip_step(n: int) -> Step:
         "sign flip c -> -c negates the forced image, for c = 1 and i, so the"
         " pinning is linear in the corner" + _proved("self-adjoint Gaussian-integer points", 2),
         max(float(np.abs(F).max()) for F in flips),
-        EXACT_TOL,
+        0.0,
     )
 
 
@@ -500,7 +484,7 @@ def _rebuild_step(n: int) -> Step:
         "Cartesian decomposition C = A + iB rebuilds the forced image of an"
         " arbitrary lower corner as its blockwise transpose" + _proved("Gaussian-integer corners C", 3),
         residual,
-        EXACT_TOL,
+        0.0,
     )
 
 
@@ -514,13 +498,14 @@ def certify_corner_transpose(n: int) -> Verdict:
     the lower-right values.  The blockwise transpose then fails positivity
     on the rank-one corner witness, whose image has eigenvalue exactly -1.
 
-    Step 1's square expansions and step 4's squeeze are checked on the
-    rank-one projections, which span the self-adjoint matrices, and
+    Step 1's square expansions and step 4's squeeze are checked exactly on
+    the rank-one projections, which span the self-adjoint matrices, and
     linearity carries them to every input.  The linear identities, step 1's
     I (+) iI covariance and steps 2 and 3, are checked exactly at seeded
     integer points, of all of M_2n for step 1, self-adjoint ones for step 2
-    and arbitrary corners for step 3, and hold up to error 2^-44.  The seeds
-    depend on the step and on n alone, so the verdict depends on n alone.
+    and arbitrary corners for step 3, and hold up to error 2^-44.  Steps 1
+    to 4 are gated at 0.0.  The seeds depend on the step and on n alone, so
+    the verdict depends on n alone.
     """
     MapId(MapKind.CORNER_TRANSPOSE, n)  # raises ValueError unless n >= 1
     if n == 1:
@@ -547,14 +532,17 @@ def certify_corner_transpose(n: int) -> Verdict:
         " transposes commute with" + _proved("Gaussian-integer points of M_2n", 1) + "; this pins the"
         " images of Hermitian-paired corners",
         r_sq,
-        MEMBERSHIP_TOL,
+        0.0,
     )
     step2, step3 = _sign_flip_step(n), _rebuild_step(n)
 
     step4 = Step(
-        "PSD squeeze pins the extension's lower-right values (pseudoinverse restricted to the range)",
+        "PSD squeeze pins the extension's lower-right values: each D^t of the"
+        " spanning set is an orthogonal projection, so (D^t)^+ = D^t, both"
+        " bounds D^t (D^t)^+ D^t and I - J J^+ J (J = I - D^t) equal D^t, and"
+        " [[D^t, D^t], [D^t, D^t]] is PSD since D^t = (D^t)* (D^t)",
         lower_right_forcing_check(n),
-        IDENTITY_TOL,
+        0.0,
     )
 
     W = corner_witness(n)

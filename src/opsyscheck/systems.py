@@ -16,10 +16,13 @@ sampling and the orthogonal projection the norm search climbs through all
 derive from it.  All five shapes also carry a closed-form positivity
 criterion with a matching eigenvalue oracle.
 
-Every seeded draw of an element or of a 2n x 2n matrix lives here, one
-sampler per distribution: generic, positive and self-adjoint elements, the
-free-corner entry tuple of the scalar-swap checks, and the Gaussian,
-rank-one and Wishart matrices of the full algebra.
+Every seeded draw of a sampling check lives here, one sampler per
+distribution: generic, positive and self-adjoint elements, the free-corner
+entry tuple of the scalar-swap checks, and the Gaussian, rank-one and
+Wishart matrices of the full algebra.  The certificates draw too, but
+only the integer points at which they prove linear identities
+(``certificates._integer_points``, ``_domain_points`` and
+``_hermitian_points``), from generators seeded by the step and n alone.
 """
 
 from __future__ import annotations

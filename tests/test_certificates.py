@@ -19,9 +19,9 @@ from opsyscheck import (
     certify_offdiag_swap,
     certify_quarter_transpose,
     hermitian_eigenvalues,
+    is_psd,
     lower_right_forcing_check,
     schur_implication,
-    squeeze_bounds,
     verify_verdict_invariants,
 )
 from opsyscheck import certificates, cli, systems
@@ -319,49 +319,48 @@ def test_corner_transpose_witness_input_is_psd():
     assert np.abs(block_transpose(W) - v.witnesses[-1][1]).max() < 1e-12
 
 
-def test_squeeze_bounds_pin_the_corner():
-    """Both squeeze bounds collapse onto D^t for any PSD contraction D."""
-    rng = np.random.default_rng(1)
-    for _ in range(10):
-        Q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
-        D = Q @ np.diag(rng.uniform(0.0, 1.0, 4)) @ Q.conj().T
-        lo, hi = squeeze_bounds(D)
-        assert np.abs(lo - D.T).max() < 1e-9
-        assert np.abs(hi - D.T).max() < 1e-9
+def _pinv_squeeze_residual(n: int) -> float:
+    """Step 4 as it ran with pseudoinverses, over the stacks of rank-one
+    projections: both squeeze bounds D^t (D^t)^+ D^t and I - J J^+ J,
+    J = I - D^t, against D^t, with singular values below MEMBERSHIP_TOL
+    (relative to the largest) cut, and the smallest eigenvalue of
+    [[D^t, D^t], [D^t, D^t]], which is min(0, 2 lambda_min(D^t))."""
+    worst = 0.0
+    I = np.eye(n)
+    for D in certificates._projection_stacks(n):
+        Dt = D.swapaxes(-1, -2)
+        J = I - Dt
+        lower = Dt @ np.linalg.pinv(Dt, rcond=MEMBERSHIP_TOL) @ Dt
+        upper = I - J @ np.linalg.pinv(J, rcond=MEMBERSHIP_TOL) @ J
+        feas_min = min(0.0, 2.0 * float(is_psd(Dt).min_eigenvalue.min()))
+        worst = max(worst, float(np.abs(lower - Dt).max()), float(np.abs(upper - Dt).max()), -feas_min)
+    return worst
 
 
-def test_squeeze_bounds_degenerate_projector():
-    D = np.diag([1.0, 0.0, 1.0])
-    lo, hi = squeeze_bounds(D)
-    assert np.abs(lo - D).max() < 1e-12
-    assert np.abs(hi - D).max() < 1e-12
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_exact_squeeze_matches_the_pinv_reference(n):
+    """The pseudoinverse squeeze pins the lower-right values to roundoff;
+    the exact squeeze, on the same projections, to 0.0."""
+    assert _pinv_squeeze_residual(n) <= 1e-15
+    assert lower_right_forcing_check(n) == 0.0
 
 
-def test_lower_right_forcing_check():
-    for n in (2, 4):
-        assert lower_right_forcing_check(n) <= 1e-9
-
-
-def test_squeeze_bounds_on_a_stack_match_single_calls():
-    rng = np.random.default_rng(2)
-    Q, _ = np.linalg.qr(rng.normal(size=(6, 4, 4)) + 1j * rng.normal(size=(6, 4, 4)))
-    D = Q @ (rng.uniform(0.0, 1.0, (6, 4, 1)) * Q.conj().swapaxes(-1, -2))
-    D[0] = np.diag([1.0, 0.0, 1.0, 0.0])
-    lo, hi = squeeze_bounds(D)
-    for k in range(len(D)):
-        lo_k, hi_k = squeeze_bounds(D[k])
-        assert np.array_equal(lo[k], lo_k)
-        assert np.array_equal(hi[k], hi_k)
+def test_oblique_projections_fail_the_exact_squeeze(monkeypatch):
+    """An idempotent that is not self-adjoint is not its own pseudoinverse:
+    E = P + P N (I - P), N the shift, stays idempotent and fails the squeeze
+    by its hermiticity defect, 1 for P = E_11."""
+    stacks = certificates._projection_stacks
+    N, I = np.eye(2, k=1), np.eye(2)
+    monkeypatch.setattr(certificates, "_projection_stacks", lambda n: (P + P @ N @ (I - P) for P in stacks(n)))
+    assert lower_right_forcing_check(2) == 1.0
 
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_corner_transpose_spanning_set_residuals(n):
-    """Steps 2 and 3 rebuild exact dyadic entries, and the squeeze on the
-    rank-one projections is pinned to double precision."""
+    """Steps 1 to 4 evaluate exact identities on integer or dyadic entries,
+    so each residual is 0.0, gated at 0.0."""
     steps = certify_corner_transpose(n).narrative
-    assert steps[1].residual == 0.0
-    assert steps[2].residual == 0.0
-    assert steps[3].residual <= 1e-15
+    assert [(s.residual, s.tolerance) for s in steps[:4]] == 4 * [(0.0, 0.0)]
 
 
 def _six_display_residual(n: int) -> float:
@@ -530,7 +529,8 @@ def test_corner_square_step_checks_c_one_only(n, monkeypatch):
 
 
 def test_lower_right_forcing_check_memory_is_bounded():
-    # the n^2 feasibility blocks at n = 32 would hold 64 MiB as one stack
+    # the n^2 projections at n = 32 would hold 16 MiB as one stack, and each
+    # product of the check as much again
     n = 32
     tracemalloc.start()
     try:
@@ -538,7 +538,7 @@ def test_lower_right_forcing_check_memory_is_bounded():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert worst <= 1e-15
+    assert worst == 0.0
     one_stack = n * n * (2 * n) ** 2 * 16
     assert peak < one_stack / 4, f"peak {peak / 2**20:.1f} MiB"
 

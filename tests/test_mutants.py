@@ -1,7 +1,7 @@
 """Mutation checks: each mutant of a map's rule, of the closed-form
 positivity criterion, of the scaling certificates' summed bound, of the
-squeeze bounds, of the block transpose that the corner-transpose chain
-forces or of the norm search's reported bound makes a claim or a
+squeeze's spanning set, of the block transpose that the corner-transpose
+chain forces or of the norm search's reported bound makes a claim or a
 certificate step of its own family fail.  The three rule mutants that pass every claim fail the
 block-by-block image of ``test_maps.golden_case`` instead.
 
@@ -20,7 +20,12 @@ from opsyscheck import certificates, cli, maps, suite, systems
 from opsyscheck.linalg import EXACT_TOL, PSD_TOL
 from opsyscheck.maps import MapId, MapKind
 from opsyscheck.suite import RunConfig
-from test_certificates import _phase_spanning_residual, _rebuild_spanning_residual, _sign_flip_spanning_residual
+from test_certificates import (
+    _phase_spanning_residual,
+    _pinv_squeeze_residual,
+    _rebuild_spanning_residual,
+    _sign_flip_spanning_residual,
+)
 from test_maps import golden_case
 
 
@@ -199,22 +204,25 @@ def test_halved_forced_bound_mutant_fails_its_family(target, n, mutated, monkeyp
     assert got[f"certify.{target}.n={n}.outcome"] == ("fail" if mutated else "pass")
 
 
-_SQUEEZE = certificates.squeeze_bounds
+_PROJECTION_STACKS = certificates._projection_stacks
 
 
-def _untransposed_squeeze(D):
-    """The squeeze bounds with D in place of D^t: they pin the lower-right
-    value on D itself."""
-    return _SQUEEZE(np.asarray(D).swapaxes(-1, -2))
+def _doubled_projection_stacks(n):
+    """The squeeze's spanning set with each rank-one projection P doubled:
+    2P is self-adjoint, but (2P)^2 = 4P, and I - 2P is not PSD."""
+    return (2.0 * P for P in _PROJECTION_STACKS(n))
 
 
 @pytest.mark.parametrize("mutated", [False, True], ids=["original", "mutant"])
-def test_untransposed_squeeze_mutant_fails_its_family(mutated, monkeypatch):
-    # D != D^t on the projections onto (e_k + i e_l)/sqrt(2)
+def test_doubled_projection_mutant_fails_the_squeeze(mutated, monkeypatch):
     if mutated:
-        monkeypatch.setattr(certificates, "squeeze_bounds", _untransposed_squeeze)
-    got = statuses(**certify("gamma", 2))
-    assert got["certify.gamma.n=2.narrative"] == ("fail" if mutated else "pass")
+        monkeypatch.setattr(certificates, "_projection_stacks", _doubled_projection_stacks)
+    # step 1's square expansions hold for any self-adjoint A, so only step 4 sees 2P
+    steps = certificates.certify_corner_transpose(2).narrative
+    assert [s.ok for s in steps] == [True, True, True, not mutated, True]
+    assert statuses(**certify("gamma", 2))["certify.gamma.n=2.narrative"] == ("fail" if mutated else "pass")
+    # the pseudoinverse form accepts 2P as well as P, since D D^+ D = D for every D
+    assert _pinv_squeeze_residual(2) <= 1e-15
 
 
 _BLOCKWISE = maps._blockwise
