@@ -41,6 +41,8 @@ failure.  A nonzero identity of degree 1 vanishes at one point with
 probability at most 2^-11, so four independent points prove it up to error
 2^-44.  The points of step k at block size n come from numpy's default
 generator seeded by (k, n) alone, so a verdict still depends on n alone.
+The sampler lives in ``systems``; ``maps.check_structural`` reads it too,
+at the seed (0, n) that no step here uses.
 
 The corner-transpose chain's square expansions (step 1) and squeeze (step
 4) run on the n^2 rank-one projections of ``_projection_stacks``, whose
@@ -83,7 +85,8 @@ from .maps import (
     corner_witness,
     quarter_transpose_witness_norm,
 )
-from .systems import _ELEMENT_CLASS, _LAYOUT, Field, Role, SystemId, SystemKind, _block, _embed_fields
+from . import systems
+from .systems import Field, SystemId, SystemKind, _block, _embed_fields
 
 
 class Outcome(enum.Enum):
@@ -149,61 +152,6 @@ def schur_implication(P, X, tol: float = PSD_TOL) -> SchurReport:
         complement_psd=c_ok,
         agrees=b_ok == c_ok,
     )
-
-
-# Randomized identity steps: IDENTITY_POINTS exact evaluations, each real
-# coordinate a uniform integer in [-POINT_BOUND, POINT_BOUND)
-IDENTITY_POINTS = 4
-POINT_BOUND = 1 << 10
-
-
-def _proved(points: str, step: int) -> str:
-    """The tag of a randomized step: its error bound (1/|S|)^r and its seed."""
-    # |S| = 2 POINT_BOUND = 2^11
-    bits = IDENTITY_POINTS * POINT_BOUND.bit_length()
-    return f" (proved up to error 2^-{bits} at {IDENTITY_POINTS} {points} seeded by ({step}, n))"
-
-
-def _point_generator(step: int, n: int) -> np.random.Generator:
-    """The seed rule of every randomized step: numpy's default generator
-    seeded by the step's number in its narrative, counted from 1, and n."""
-    return np.random.default_rng((step, n))
-
-
-def _integer_points(rng: np.random.Generator, shape: tuple[int, ...], field: Field) -> np.ndarray:
-    """A stack of IDENTITY_POINTS arrays of the given shape over the field,
-    each independent real part a uniform integer in [-2^10, 2^10), real
-    parts before imaginary parts."""
-    parts = 2 if field is Field.COMPLEX else 1
-    x = rng.integers(-POINT_BOUND, POINT_BOUND, (parts, IDENTITY_POINTS) + shape).astype(np.float64)
-    if parts == 1:
-        return x[0]
-    z = np.empty(x.shape[1:], dtype=np.complex128)
-    z.real, z.imag = x
-    return z
-
-
-def _domain_points(s: SystemId, step: int) -> np.ndarray:
-    """The (IDENTITY_POINTS, 2n, 2n) seeded integer points of a subsystem:
-    every field of its layout drawn by ``_integer_points``."""
-    rng = _point_generator(step, s.n)
-    fields = {
-        name: _integer_points(rng, () if role is Role.SCALAR else (s.n, s.n), s.field)
-        for name, _, role in _LAYOUT[_ELEMENT_CLASS[s.kind]]
-    }
-    return _embed_fields(s, fields, (IDENTITY_POINTS,))
-
-
-def _hermitian_points(n: int, step: int) -> np.ndarray:
-    """The (IDENTITY_POINTS, n, n) seeded self-adjoint integer points: the
-    real diagonal and the strict upper triangle drawn by
-    ``_integer_points``, the lower triangle its conjugate mirror."""
-    G = _integer_points(_point_generator(step, n), (n, n), Field.COMPLEX)
-    H = np.triu(G, 1)
-    H += _adjoint(H)
-    diagonal = np.arange(n)
-    H[:, diagonal, diagonal] = G.real[:, diagonal, diagonal]
-    return H
 
 
 def _forced_corner(m: MapId, S: np.ndarray) -> np.ndarray:
@@ -276,7 +224,8 @@ def _corner_forcing_steps(m: MapId) -> tuple[list[Step], np.ndarray]:
     swap = np.arange(n)
     swap[:2] = swap[1::-1]
     relabelings = [(np.concatenate([pi, pi + n]), np.ones(2 * n)) for pi in (swap, np.roll(np.arange(n), 1))]
-    r_schur = max(r_schur, _covariance_defect(m.kind, _domain_points(m.domain, 3), relabelings))
+    points = systems._domain_points(m.domain, systems._point_generator(3, n))
+    r_schur = max(r_schur, _covariance_defect(m.kind, points, relabelings))
     bound = np.zeros((n, n))
     sum_D = np.zeros((n, n))
     # the pairs (i, 0), indices from 0: the n distinct diagonal parts and
@@ -298,7 +247,7 @@ def _corner_forcing_steps(m: MapId) -> tuple[list[Step], np.ndarray]:
             "Schur step: each forced corner X_ij, the lower-left block of that"
             " image, forces upper-left >= X_ij* X_ij; X_ij is a representative's"
             " relabeled, as the map commutes with relabeling both diagonal blocks"
-            " by (0 1) and by the n-cycle" + _proved("(Gaussian-)integer points of its domain", 3),
+            " by (0 1) and by the n-cycle" + systems._proved("(Gaussian-)integer points of its domain", 3),
             r_schur,
             MEMBERSHIP_TOL,
         ),
@@ -456,11 +405,11 @@ def _sign_flip_step(n: int) -> Step:
     """Step 2 of the corner-transpose chain: F(P, c) + F(P, -c) = 0 for
     c = 1 and i, F the forced paired image, at the seeded self-adjoint
     points P.  The identity is linear in P."""
-    P = _hermitian_points(n, 2)
+    P = systems._hermitian_points(n, systems._point_generator(2, n))
     flips = (_forced_paired_image(P, c) + _forced_paired_image(P, -c) for c in (1.0 + 0.0j, 1.0j))
     return Step(
         "sign flip c -> -c negates the forced image, for c = 1 and i, so the"
-        " pinning is linear in the corner" + _proved("self-adjoint Gaussian-integer points", 2),
+        " pinning is linear in the corner" + systems._proved("self-adjoint Gaussian-integer points", 2),
         max(float(np.abs(F).max()) for F in flips),
         0.0,
     )
@@ -471,7 +420,7 @@ def _rebuild_step(n: int) -> Step:
     corner C, rebuilt from its Cartesian parts A = (C + C*)/2 and
     B = (C - C*)/2i, with the parts' deviation from self-adjointness.  The
     identity is real-linear in C, and halving integers is exact."""
-    C = _integer_points(_point_generator(3, n), (n, n), Field.COMPLEX)
+    C = systems._integer_points(systems._point_generator(3, n), (n, n), Field.COMPLEX)
     Ch = _adjoint(C)
     A = (C + Ch) / 2.0
     B = (C - Ch) / 2.0j
@@ -482,7 +431,7 @@ def _rebuild_step(n: int) -> Step:
     )
     return Step(
         "Cartesian decomposition C = A + iB rebuilds the forced image of an"
-        " arbitrary lower corner as its blockwise transpose" + _proved("Gaussian-integer corners C", 3),
+        " arbitrary lower corner as its blockwise transpose" + systems._proved("Gaussian-integer corners C", 3),
         residual,
         0.0,
     )
@@ -517,7 +466,7 @@ def certify_corner_transpose(n: int) -> Verdict:
     # commute with X -> U X U* on all of M_2n, so the displays at c = i are
     # the U-conjugates of those at c = 1, with the same entrywise residual,
     # and need no call of their own
-    X = _integer_points(_point_generator(1, n), (2 * n, 2 * n), Field.COMPLEX)
+    X = systems._integer_points(systems._point_generator(1, n), (2 * n, 2 * n), Field.COMPLEX)
     U = [(np.arange(2 * n), np.repeat([1.0, 1.0j], n))]
     r_sq = max(_covariance_defect(kind, X, U) for kind in (MapKind.CORNER_TRANSPOSE, MapKind.BLOCK_TRANSPOSE))
     for P in _projection_stacks(n):
@@ -529,7 +478,7 @@ def certify_corner_transpose(n: int) -> Verdict:
     step1 = Step(
         "square-expansion identities hold on the self-adjoint spanning set"
         " with c = 1, and with c = i by conjugation with I (+) iI, which both"
-        " transposes commute with" + _proved("Gaussian-integer points of M_2n", 1) + "; this pins the"
+        " transposes commute with" + systems._proved("Gaussian-integer points of M_2n", 1) + "; this pins the"
         " images of Hermitian-paired corners",
         r_sq,
         0.0,

@@ -18,11 +18,11 @@ table ``_RULES`` states:
 * corner-transpose-full (token "psi-real-ext"): upper-left block transposed,
   defined on the full real algebra.
 
-Checks: structure (unital, self-adjointness, linearity), positivity on
-seeded PSD inputs, multi-start norm estimation, a closed-form norm bound for
-the complex swap, Kadison-Schwarz defects for forced extension candidates,
-and the singular-value invariance when the two scalar corners of a
-free-corner element trade places.
+Checks: structure (unital, self-adjointness, linearity), proved exactly at
+seeded dyadic points, positivity on seeded PSD inputs, multi-start norm
+estimation, a closed-form norm bound for the complex swap, Kadison-Schwarz
+defects for forced extension candidates, and the singular-value invariance
+when the two scalar corners of a free-corner element trade places.
 """
 
 from __future__ import annotations
@@ -53,6 +53,8 @@ from .linalg import (
     stack_chunks,
 )
 from .systems import (
+    IDENTITY_POINTS,
+    POINT_BOUND,
     DomainViolationError,
     Field,
     PairedCornerElement,
@@ -60,6 +62,7 @@ from .systems import (
     SystemId,
     SystemKind,
     _block,
+    _domain_points,
     _draw_corner_tuple,
     _draw_fields,
     _draw_full,
@@ -67,7 +70,9 @@ from .systems import (
     _draw_psd_rank_one,
     _draw_psd_wishart,
     _embed_fields,
+    _integer_points,
     _modulus,
+    _point_generator,
     _require_contained,
     embed,
     project,
@@ -178,14 +183,6 @@ def apply(m: MapId, x) -> np.ndarray:
     return _blockwise(m.kind, M)
 
 
-def _random_domain_matrices(m: MapId, rng: np.random.Generator, k: int) -> np.ndarray:
-    """A (k, 2n, 2n) stack of seeded generic matrices of the map's domain."""
-    dom = m.domain
-    if dom is None:
-        return _draw_full(m.n, m.field, rng, (k,))
-    return _embed_fields(dom, _draw_fields(dom, rng, 1.0, k), (k,))
-
-
 @dataclasses.dataclass(frozen=True)
 class StructuralReport:
     """Residuals for unitality, self-adjointness and linearity."""
@@ -199,52 +196,42 @@ class StructuralReport:
     passed: bool
 
 
-def check_structural(m: MapId, trials: int = 25, rng_seed: int = 0) -> StructuralReport:
-    """Verify the map is unital, self-adjointness-preserving and linear.
+def check_structural(m: MapId) -> StructuralReport:
+    """Prove the map unital, self-adjointness-preserving and linear.
 
-    Self-adjointness means apply(M*) = apply(M)* over the complex field and
-    apply(M^t) = apply(M)^t over the real field.  Failures are counted and
-    reported, never raised; a residual above IDENTITY_TOL is a failure.
-
-    The trials run in stacks of at most ``linalg.STACK_ENTRIES`` matrix
-    entries: each stack draws its matrices M, then N, then the coefficient
-    pairs (alpha, beta) of the linearity check, and applies the map once per
-    stack and operand.
+    Unitality is checked on I.  apply(X*) = apply(X)* (the transpose over
+    the real field) and apply(alpha X + beta Y) = alpha apply(X) + beta
+    apply(Y) are evaluated exactly at IDENTITY_POINTS points X and Y of the
+    domain (all of M_2n on the full algebra) with (Gaussian-)integer alpha
+    and beta, drawn by the integer-point sampler of ``systems`` at the seed
+    (0, n), which no certificate step uses.  The points are scaled by 2^-10,
+    so their coordinates are dyadic and a rule that rounds cannot pass at
+    integers; every value stays exact, so each residual is 0.0 or a real
+    failure, counted per point.  The identities have degree at most 2, so
+    they hold up to error 2^-40.  ``trials`` is the number of points.
     """
-    rng = np.random.default_rng(rng_seed)
-    n2 = 2 * m.n
-    I = np.eye(n2, dtype=m.field.dtype)
+    rng = _point_generator(0, m.n)
+
+    def points() -> np.ndarray:
+        if m.domain is None:
+            return _integer_points(rng, (2 * m.n, 2 * m.n), m.field) / POINT_BOUND
+        return _domain_points(m.domain, rng) / POINT_BOUND
+
+    X, Y = points(), points()
+    alpha, beta = (c[:, None, None] for c in _integer_points(rng, (2,), m.field).T)
+    I = np.eye(2 * m.n, dtype=m.field.dtype)
     unital_residual = float(np.abs(apply(m, I) - I).max())
-
-    sa_worst = 0.0
-    sa_fail = 0
-    lin_worst = 0.0
-    lin_fail = 0
-    for _, k in stack_chunks(trials, n2):
-        M = _random_domain_matrices(m, rng, k)
-        N = _random_domain_matrices(m, rng, k)
-        if m.field is Field.COMPLEX:
-            coef = rng.normal(size=(k, 2, 2)).view(np.complex128)[..., 0]
-        else:
-            coef = rng.normal(size=(k, 2))
-        alpha, beta = coef[:, 0, None, None], coef[:, 1, None, None]
-        FM, FN = apply(m, M), apply(m, N)
-        r = _deviation(apply(m, _adjoint(M)), _adjoint(FM))
-        sa_worst = max(sa_worst, float(r.max()))
-        sa_fail += int(np.count_nonzero(r > IDENTITY_TOL))
-        r = _deviation(apply(m, alpha * M + beta * N), alpha * FM + beta * FN)
-        lin_worst = max(lin_worst, float(r.max()))
-        lin_fail += int(np.count_nonzero(r > IDENTITY_TOL))
-
-    passed = unital_residual <= IDENTITY_TOL and sa_fail == 0 and lin_fail == 0
+    FX, FY = apply(m, X), apply(m, Y)
+    sa = _deviation(apply(m, _adjoint(X)), _adjoint(FX))
+    lin = _deviation(apply(m, alpha * X + beta * Y), alpha * FX + beta * FY)
     return StructuralReport(
-        trials=trials,
+        trials=IDENTITY_POINTS,
         unital_residual=unital_residual,
-        self_adjoint_worst=sa_worst,
-        self_adjoint_failures=sa_fail,
-        linear_worst=lin_worst,
-        linear_failures=lin_fail,
-        passed=passed,
+        self_adjoint_worst=float(sa.max()),
+        self_adjoint_failures=int(np.count_nonzero(sa)),
+        linear_worst=float(lin.max()),
+        linear_failures=int(np.count_nonzero(lin)),
+        passed=unital_residual == 0.0 and not sa.any() and not lin.any(),
     )
 
 

@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .linalg import NonFiniteError
+from .linalg import DimensionMismatchError, NonFiniteError
 
 # the package version: pyproject.toml and opsyscheck.__version__ read it here
 VERSION = "0.1.0"
@@ -31,16 +31,25 @@ STATUS_INCONCLUSIVE = "inconclusive"
 
 @dataclasses.dataclass(frozen=True)
 class MatrixPayload:
-    """A matrix in wire form: row-major [re, im] pairs."""
+    """One real or complex matrix in wire form: row-major [re, im] pairs,
+    rows * cols of them, checked where the payload is built."""
 
     rows: int
     cols: int
     field: str
     entries: tuple[tuple[float, float], ...]
 
+    def __post_init__(self):
+        if self.field not in ("real", "complex"):
+            raise ValueError(f"payload field must be real or complex, got {self.field!r}")
+        if self.rows < 0 or self.cols < 0 or len(self.entries) != self.rows * self.cols:
+            raise DimensionMismatchError(f"{self.rows} x {self.cols} payload holds {len(self.entries)} entries")
+
     @staticmethod
     def from_matrix(M) -> "MatrixPayload":
         A = np.asarray(M)
+        if A.ndim != 2:
+            raise DimensionMismatchError(f"payload needs one matrix, got shape {A.shape}")
         field = "complex" if A.dtype.kind == "c" else "real"
         A = A.astype(np.complex128, copy=False)
         entries = tuple(

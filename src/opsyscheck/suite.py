@@ -211,10 +211,11 @@ def lemma_claims(cfg: RunConfig) -> list[Claim]:
 def _maps_sweep(cfg: RunConfig, kidx: int, kind: MapKind, n: int) -> list[Claim]:
     """The structural and positivity claims of one (kind, n) map sweep."""
     m = MapId(kind, n)
-    rep = maps.check_structural(m, trials=25, rng_seed=_seed(cfg, 2, kidx, n))
+    rep = maps.check_structural(m)
     structural = _claim(
         f"maps.{kind.token}.n={n}.structural",
-        "map is unital, self-adjointness-preserving and linear",
+        "map is unital, self-adjointness-preserving and linear"
+        + systems._proved("dyadic points of its domain", 0, degree=2),
         rep.passed,
         max(rep.unital_residual, rep.self_adjoint_worst, rep.linear_worst),
     )

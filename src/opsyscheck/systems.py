@@ -16,13 +16,12 @@ sampling and the orthogonal projection the norm search climbs through all
 derive from it.  All five shapes also carry a closed-form positivity
 criterion with a matching eigenvalue oracle.
 
-Every seeded draw of a sampling check lives here, one sampler per
-distribution: generic, positive and self-adjoint elements, the free-corner
-entry tuple of the scalar-swap checks, and the Gaussian, rank-one and
-Wishart matrices of the full algebra.  The certificates draw too, but
-only the integer points at which they prove linear identities
-(``certificates._integer_points``, ``_domain_points`` and
-``_hermitian_points``), from generators seeded by the step and n alone.
+Every seeded draw lives here, one sampler per distribution: generic,
+positive and self-adjoint elements, the free-corner entry tuple of the
+scalar-swap checks, the Gaussian, rank-one and Wishart matrices of the
+full algebra, and the integer points of the exact identity tests, seeded by
+(step, n) alone, at which the certificates prove their linear steps and
+``maps.check_structural`` the maps' structure.
 """
 
 from __future__ import annotations
@@ -43,6 +42,7 @@ from .linalg import (
     DimensionMismatchError,
     FieldMismatchError,
     PsdVerdict,
+    _adjoint,
     _spectrum,
     as_square,
     as_squares,
@@ -397,14 +397,18 @@ def _draw_fields(s: SystemId, rng: np.random.Generator, scale: float, k: int) ->
             x = rng.uniform(-scale, scale, (parts, k))
         else:
             x = rng.normal(0.0, scale / math.sqrt(parts * n), (parts, k, n, n))
-        if parts == 2:
-            z = np.empty(x[0].shape, dtype=np.complex128)
-            z.real, z.imag = x
-            x = z
-        else:
-            x = x[0]
-        fields[name] = x
+        fields[name] = _from_parts(x)
     return fields
+
+
+def _from_parts(x: np.ndarray) -> np.ndarray:
+    """The values with real parts x[0] and imaginary parts x[1], each part
+    copied bit for bit, or x[0] when x holds one part."""
+    if len(x) == 1:
+        return x[0]
+    z = np.empty(x.shape[1:], dtype=np.complex128)
+    z.real, z.imag = x
+    return z
 
 
 def _rows(fields: dict[str, np.ndarray], index) -> dict[str, np.ndarray]:
@@ -570,6 +574,55 @@ def _draw_psd_wishart(
     """G G* for G drawn by ``_draw_full``; a stack of them over ``lead``."""
     G = _draw_full(n, field, rng, lead)
     return G @ G.conj().swapaxes(-1, -2)
+
+
+# Exact randomized identity tests (Schwartz, J. ACM 27, 1980; Zippel, EUROSAM
+# 1979): r = IDENTITY_POINTS exact evaluations, each real coordinate uniform
+# in S = the integers in [-POINT_BOUND, POINT_BOUND)
+IDENTITY_POINTS = 4
+POINT_BOUND = 1 << 10
+
+
+def _proved(points: str, step: int, degree: int = 1) -> str:
+    """The tag of an identity checked at the seeded points: its seed and its
+    error bound (degree / |S|)^r, the degree rounded up to a power of 2."""
+    bits = IDENTITY_POINTS * (POINT_BOUND.bit_length() - (degree - 1).bit_length())
+    return f" (proved up to error 2^-{bits} at {IDENTITY_POINTS} {points} seeded by ({step}, n))"
+
+
+def _point_generator(step: int, n: int) -> np.random.Generator:
+    """The seed rule of every identity test: numpy's default generator
+    seeded by (step, n), with step a certificate step's number in its
+    narrative, counted from 1, or 0 for ``maps.check_structural``."""
+    return np.random.default_rng((step, n))
+
+
+def _integer_points(rng: np.random.Generator, shape: tuple[int, ...], field: Field) -> np.ndarray:
+    """A stack of IDENTITY_POINTS arrays of the given shape over the field,
+    each independent real part a uniform integer in [-2^10, 2^10), real
+    parts before imaginary parts."""
+    parts = 2 if field is Field.COMPLEX else 1
+    x = rng.integers(-POINT_BOUND, POINT_BOUND, (parts, IDENTITY_POINTS) + shape)
+    return _from_parts(x.astype(np.float64))
+
+
+def _domain_points(s: SystemId, rng: np.random.Generator) -> np.ndarray:
+    """The (IDENTITY_POINTS, 2n, 2n) integer points of a subsystem: every
+    field of its layout drawn by ``_integer_points``, in dataclass order."""
+    fields = {
+        name: _integer_points(rng, () if role is Role.SCALAR else (s.n, s.n), s.field)
+        for name, _, role in _LAYOUT[_ELEMENT_CLASS[s.kind]]
+    }
+    return _embed_fields(s, fields, (IDENTITY_POINTS,))
+
+
+def _hermitian_points(n: int, rng: np.random.Generator) -> np.ndarray:
+    """The (IDENTITY_POINTS, n, n) self-adjoint integer points: the real
+    diagonal and the strict upper triangle drawn by ``_integer_points``,
+    the lower triangle its conjugate mirror."""
+    G = _integer_points(rng, (n, n), Field.COMPLEX)
+    H = np.triu(G, 1)
+    return H + _adjoint(H) + G.real * np.eye(n)
 
 
 # One implementation of the criterion and the margin serves a stack of field

@@ -442,7 +442,7 @@ def _relabeling_residual(kind: MapKind, n: int) -> float:
     swap = np.arange(n)
     swap[:2] = swap[1::-1]
     relabelings = [(np.concatenate([pi, pi + n]), np.ones(2 * n)) for pi in (swap, np.roll(np.arange(n), 1))]
-    X = certificates._domain_points(MapId(kind, n).domain, 3)
+    X = systems._domain_points(MapId(kind, n).domain, systems._point_generator(3, n))
     return certificates._covariance_defect(kind, X, relabelings)
 
 
@@ -482,17 +482,20 @@ def test_identity_points_are_seeded_integers(n):
 
     def phase_points():
         # step 1's points of all of M_2n
-        rng = certificates._point_generator(1, n)
-        return certificates._integer_points(rng, (2 * n, 2 * n), systems.Field.COMPLEX)
+        rng = systems._point_generator(1, n)
+        return systems._integer_points(rng, (2 * n, 2 * n), systems.Field.COMPLEX)
+
+    def hermitian_points(step):
+        return systems._hermitian_points(n, systems._point_generator(step, n))
 
     np.random.seed(1)
-    H = certificates._hermitian_points(n, 2)
+    H = hermitian_points(2)
     Z = phase_points()
     kinds = (MapKind.QUARTER_TRANSPOSE, MapKind.OFFDIAG_SWAP)
-    X = {kind: certificates._domain_points(MapId(kind, n).domain, 3) for kind in kinds}
+    X = {kind: systems._domain_points(MapId(kind, n).domain, systems._point_generator(3, n)) for kind in kinds}
     np.random.seed(2)
-    assert np.array_equal(H, certificates._hermitian_points(n, 2))
-    assert not np.array_equal(H, certificates._hermitian_points(n, 3))
+    assert np.array_equal(H, hermitian_points(2))
+    assert not np.array_equal(H, hermitian_points(3))
     assert H.shape == (4, n, n) and float(hermiticity_defect(H).max()) == 0.0
     assert np.array_equal(Z, phase_points())
     assert Z.shape == (4, 2 * n, 2 * n) and Z.dtype == np.complex128

@@ -19,6 +19,7 @@ from opsyscheck import certificates, suite
 from opsyscheck import (
     Claim,
     ConfigError,
+    DimensionMismatchError,
     MatrixPayload,
     NonFiniteError,
     Report,
@@ -117,6 +118,34 @@ def test_matrix_payload_round_trip_exact():
     assert np.array_equal(p2.to_matrix(), R)
     p3 = MatrixPayload.from_dict(p.to_dict())
     assert p3 == p
+
+
+@pytest.mark.parametrize("M", [np.zeros((2, 3, 3)), np.array(1.0)], ids=["stack", "zero-dimensional"])
+def test_matrix_payload_refuses_anything_but_one_matrix(M):
+    with pytest.raises(DimensionMismatchError):
+        MatrixPayload.from_matrix(M)
+
+
+def test_matrix_payload_refuses_a_wrong_entry_count():
+    d = MatrixPayload.from_matrix(np.eye(2)).to_dict()
+    d["entries"].pop()
+    with pytest.raises(DimensionMismatchError):
+        MatrixPayload.from_dict(d)
+
+
+def test_matrix_payload_refuses_an_unknown_field():
+    d = MatrixPayload.from_matrix(np.eye(2)).to_dict()
+    d["field"] = "quaternion"
+    with pytest.raises(ValueError, match="quaternion"):
+        MatrixPayload.from_dict(d)
+
+
+def test_report_with_a_short_witness_is_refused_when_parsed():
+    claims = (Claim(id="x.y", anchor="a", status="fail", witness=MatrixPayload.from_matrix(np.eye(2))),)
+    d = json.loads(report_to_json(Report(config=(), claims=claims, duration_seconds=0.0)))
+    d["claims"][0]["witness"]["entries"].pop()
+    with pytest.raises(DimensionMismatchError):
+        report_from_json(json.dumps(d))
 
 
 def test_claim_round_trip():

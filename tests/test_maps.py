@@ -37,7 +37,8 @@ from opsyscheck import (
     swap_bc_singular_check,
     swap_bound_domination,
 )
-from opsyscheck import maps
+from opsyscheck import maps, suite, systems
+from opsyscheck.linalg import _adjoint
 from opsyscheck.maps import (
     _FIRST_STEP,
     _P_BASE,
@@ -50,7 +51,8 @@ from opsyscheck.maps import (
     _spectral_norms,
     _structured_starts,
 )
-from opsyscheck.systems import _draw_element, _draw_full, _draw_positive, project
+from opsyscheck.suite import RunConfig
+from opsyscheck.systems import _draw_element, _draw_fields, _draw_full, _draw_positive, _embed_fields, project
 
 ALL_MAPS = list(MapKind)
 POSITIVE_MAPS = [
@@ -181,14 +183,116 @@ def test_swap_maps_are_involutions_on_domain():
             assert np.array_equal(apply(m, apply(m, M)), M)
 
 
+def _structural_residuals(rep) -> tuple[float, float, float]:
+    return rep.unital_residual, rep.self_adjoint_worst, rep.linear_worst
+
+
 @pytest.mark.parametrize("kind", ALL_MAPS)
 def test_structural_checks_pass(kind):
-    rep = check_structural(MapId(kind, 3), trials=25, rng_seed=0)
+    rep = check_structural(MapId(kind, 3))
     assert rep.passed
-    assert rep.unital_residual == 0.0
+    assert rep.trials == 4
+    assert _structural_residuals(rep) == (0.0, 0.0, 0.0)
     assert rep.self_adjoint_failures == 0
     assert rep.linear_failures == 0
-    assert rep.linear_worst < 1e-9
+
+
+def _gaussian_structural_residuals(m: MapId, trials: int = 25, rng_seed: int = 0) -> tuple[float, float, float]:
+    """The structural check as it ran on Gaussian draws, kept as a
+    reference: the unital residual on I, and the worst self-adjointness and
+    linearity residuals over ``trials`` seeded Gaussian matrices M and N of
+    the map's domain (all of M_2n on the full algebra), with Gaussian
+    coefficients alpha and beta.  M, then N, then the coefficient pairs are
+    drawn as one stack each, as the check drew them wherever 25 trials fit
+    in one stack (n <= 18)."""
+    rng = np.random.default_rng(rng_seed)
+
+    def draw() -> np.ndarray:
+        if m.domain is None:
+            return _draw_full(m.n, m.field, rng, (trials,))
+        return _embed_fields(m.domain, _draw_fields(m.domain, rng, 1.0, trials), (trials,))
+
+    M, N = draw(), draw()
+    if m.field is Field.COMPLEX:
+        coef = rng.normal(size=(trials, 2, 2)).view(np.complex128)[..., 0]
+    else:
+        coef = rng.normal(size=(trials, 2))
+    alpha, beta = coef[:, 0, None, None], coef[:, 1, None, None]
+    I = np.eye(2 * m.n, dtype=m.field.dtype)
+    FM, FN = apply(m, M), apply(m, N)
+    return (
+        float(np.abs(apply(m, I) - I).max()),
+        float(np.abs(apply(m, _adjoint(M)) - _adjoint(FM)).max()),
+        float(np.abs(apply(m, alpha * M + beta * N) - (alpha * FM + beta * FN)).max()),
+    )
+
+
+@pytest.mark.parametrize("kind", ALL_MAPS)
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+def test_structural_check_agrees_with_the_gaussian_reference(n, kind):
+    m = MapId(kind, n)
+    rep = check_structural(m)
+    assert rep.passed
+    assert _structural_residuals(rep) == _gaussian_structural_residuals(m) == (0.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("n", [4, 6, 7, 16, 17, 64])
+def test_structural_residuals_are_exact(n):
+    for kind in ALL_MAPS:
+        rep = check_structural(MapId(kind, n))
+        assert rep.passed and _structural_residuals(rep) == (0.0, 0.0, 0.0)
+
+
+def _structural_inputs(m: MapId, monkeypatch) -> list[np.ndarray]:
+    """The matrices ``check_structural`` hands to ``apply``, in call order:
+    I, X, Y, X*, then alpha X + beta Y."""
+    seen = []
+
+    def recording_apply(m, x):
+        seen.append(np.array(x))
+        return apply(m, x)
+
+    monkeypatch.setattr(maps, "apply", recording_apply)
+    check_structural(m)
+    return seen
+
+
+@pytest.mark.parametrize("kind", ALL_MAPS)
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_structural_points_are_dyadic_and_seeded_by_n_alone(n, kind, monkeypatch):
+    """The points come from (0, n), a seed no certificate step uses, not
+    from numpy's global generator; every coordinate is an integer times
+    2^-10 in [-1, 1), and not every one is an integer."""
+    m = MapId(kind, n)
+    np.random.seed(1)
+    first = _structural_inputs(m, monkeypatch)
+    np.random.seed(2)
+    assert all(np.array_equal(a, b) for a, b in zip(first, _structural_inputs(m, monkeypatch)))
+    X, Y = first[1], first[2]
+    rng = systems._point_generator(0, n)
+    if m.domain is None:
+        expected = systems._integer_points(rng, (2 * n, 2 * n), m.field)
+    else:
+        expected = systems._domain_points(m.domain, rng)
+    assert np.array_equal(X, expected / 1024.0)
+    assert X.shape == Y.shape == (4, 2 * n, 2 * n) and X.dtype == m.field.dtype
+    for P in (X, Y):
+        scaled = P.view(np.float64) * 1024.0
+        assert np.array_equal(scaled, np.round(scaled))
+        assert scaled.min() >= -1024.0 and scaled.max() < 1024.0
+        assert np.any(scaled % 1024.0 != 0.0)
+
+
+def test_structural_claims_do_not_depend_on_the_seed():
+    def structural(seed):
+        cfg = RunConfig(command="verify", target="maps", n_values=(1, 2), trials=10, seed=seed)
+        return [c for c in suite.maps_claims(cfg) if c.id.endswith(".structural")]
+
+    claims = structural(0)
+    assert len(claims) == 12 and claims == structural(7919)
+    for c in claims:
+        assert c.status == "pass" and c.residual == 0.0
+        assert c.anchor.endswith("(proved up to error 2^-40 at 4 dyadic points of its domain seeded by (0, n))")
 
 
 def test_corner_witness_spectra():
@@ -528,15 +632,21 @@ def test_map_checks_memory_is_bounded_at_the_largest_size(check, kind):
     # trials drawn as one stack would hold 25 MiB in that stack alone (500
     # trials: 131 MB); the 16 stored violations of the block transpose hold
     # 8 MiB of it
+    # the structural check holds its four points X and Y and their images
     n, trials = 64, 100
     tracemalloc.start()
     try:
-        check(MapId(kind, n), trials=trials, rng_seed=0)
+        if check is check_structural:
+            rep = check(MapId(kind, n))
+        else:
+            check(MapId(kind, n), trials=trials, rng_seed=0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     one_stack = trials * (2 * n) ** 2 * 16
     assert peak < one_stack / 2, f"peak {peak / 2**20:.1f} MiB"
+    if check is check_structural:
+        assert rep.passed and _structural_residuals(rep) == (0.0, 0.0, 0.0)
 
 
 def test_swap_bc_singular_values():

@@ -3,7 +3,10 @@ positivity criterion, of the scaling certificates' summed bound, of the
 squeeze's spanning set, of the block transpose that the corner-transpose
 chain forces or of the norm search's reported bound makes a claim or a
 certificate step of its own family fail.  The three rule mutants that pass every claim fail the
-block-by-block image of ``test_maps.golden_case`` instead.
+block-by-block image of ``test_maps.golden_case`` instead.  The structural
+mutants (affine, anti-linear, half-transposed and rounding rules) fail both
+the exact structural check and its Gaussian reference,
+``test_maps._gaussian_structural_residuals``.
 
 A mutant is installed with ``monkeypatch`` for one test only; nothing in the
 package switches it on.  Each configuration also runs unmutated, where the
@@ -26,7 +29,7 @@ from test_certificates import (
     _rebuild_spanning_residual,
     _sign_flip_spanning_residual,
 )
-from test_maps import golden_case
+from test_maps import _gaussian_structural_residuals, golden_case
 
 
 def statuses(runner, **config) -> dict[str, str]:
@@ -290,6 +293,64 @@ def test_block_transpose_mutant_fails_its_randomized_step(name, n, mutated, monk
         monkeypatch.setattr(certificates, "_blockwise", blockwise)
     assert certificates.certify_corner_transpose(n).narrative[step - 1].ok is not mutated
     assert (spanning(n) > EXACT_TOL) is mutated
+
+
+def _rounded_blockwise(kind, M):
+    """The map's rule, with the upper-left block of every image rounded to
+    integers: exact wherever the input is an integer matrix."""
+    out = _BLOCKWISE(kind, M)
+    n = M.shape[-1] // 2
+    out[..., :n, :n] = np.round(out[..., :n, :n])
+    return out
+
+
+# (mutated map, the mutated rule function or rule table); each breaks
+# unitality, self-adjointness preservation or linearity
+STRUCTURAL_MUTANTS = {
+    # the rule plus the matrix unit at entry (n, 0) of the image
+    "affine-block": (MapKind.BLOCK_TRANSPOSE, _affine_blockwise),
+    # conj(X)^t in place of X^t in the lower-left block
+    "antilinear-block": (MapKind.BLOCK_TRANSPOSE, _antilinear_blockwise),
+    # only the upper-right off-diagonal block transposed
+    "one-off-diagonal-block-transposed": (MapKind.BLOCK_TRANSPOSE, {(0, 0): 1.0, (0, 1): 1.0, (1, 1): 1.0}),
+    "rounded-block": (MapKind.QUARTER_TRANSPOSE, _rounded_blockwise),
+}
+
+
+def _install(mutant, kind, monkeypatch):
+    if callable(mutant):
+        monkeypatch.setattr(maps, "_blockwise", mutant)
+    else:
+        monkeypatch.setitem(maps._RULES, kind, mutant)
+
+
+@pytest.mark.parametrize("mutated", [False, True], ids=["original", "mutant"])
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("name", list(STRUCTURAL_MUTANTS))
+def test_structural_mutant_fails_the_exact_check_and_the_gaussian_reference(name, n, mutated, monkeypatch):
+    kind, mutant = STRUCTURAL_MUTANTS[name]
+    m = MapId(kind, n)
+    if mutated:
+        _install(mutant, kind, monkeypatch)
+    rep = maps.check_structural(m)
+    assert rep.passed is not mutated
+    # a point counts as a failure exactly when its residual is nonzero
+    assert (rep.self_adjoint_failures > 0) is (rep.self_adjoint_worst > 0.0)
+    assert (rep.linear_failures > 0) is (rep.linear_worst > 0.0)
+    assert (max(_gaussian_structural_residuals(m)) > 0.0) is mutated
+    assert statuses(suite.maps_claims, command="verify", target="maps", n_values=(n,), trials=20)[
+        f"maps.{kind.token}.n={n}.structural"
+    ] == ("fail" if mutated else "pass")
+
+
+def test_rounded_block_passes_at_integer_points(monkeypatch):
+    # the dyadic scaling is what exposes it: unscaled, every point and every
+    # combination of points is an integer matrix
+    monkeypatch.setattr(maps, "_blockwise", _rounded_blockwise)
+    m = MapId(MapKind.QUARTER_TRANSPOSE, 3)
+    assert not maps.check_structural(m).passed
+    monkeypatch.setattr(maps, "POINT_BOUND", 1)
+    assert maps.check_structural(m).passed
 
 
 _SEARCH = maps.estimate_map_norm
