@@ -1,6 +1,6 @@
 """Extension certificates: exact thresholds where positive extension fails.
 
-Each certify_* routine replays a forcing argument numerically and without
+Each certify_* routine replays a forcing argument exactly and without
 draws: a step that is not a linear identity runs on a finite spanning set,
 and a linear identity at seeded integer points (below), so a verdict
 depends on n alone.  The logic is always the same: assume some positive
@@ -10,7 +10,7 @@ PSD certificates, and compare the forced values against what positivity
 allows.  The comparison reduces to an exact integer threshold in the block
 size n; the narrative records every computed residual along the way, and a
 Contradiction verdict carries the violating witness pair together with its
-eigenvalue margin.
+margin.
 
 Nothing here proves an extension exists.  Below threshold the verdict is
 Inconclusive, except in the degenerate sizes where the map is the identity
@@ -23,7 +23,7 @@ not checked again.  The n^2 certificates [[E_ii, E_ij], [E_ji, I]] of the
 two corner-scaling certificates fall into two orbits under W = pi (+) pi,
 one permutation of the indices applied to both diagonal blocks: (0, 0)
 reaches every (i, i) and (0, 1) every (i, j) with i != j, so only the two
-representatives are eigensolved, as in the symmetry reduction of PSD
+representatives are factored, as in the symmetry reduction of PSD
 certificates of Gatermann and Parrilo (J. Pure Appl. Algebra 192, 2004),
 and covariance is checked for the two generators of S_n.  The
 corner-transpose chain's square expansions take W = U = I (+) iI, which
@@ -44,11 +44,14 @@ generator seeded by (k, n) alone, so a verdict still depends on n alone.
 The sampler lives in ``systems``; ``maps.check_structural`` reads it too,
 at the seed (0, n) that no step here uses.
 
-The corner-transpose chain's square expansions (step 1) and squeeze (step
-4) run on the n^2 rank-one projections of ``_projection_stacks``, whose
-entries 0, 1, 1/2 and +-i/2 are exact, so they too check polynomial
-identities exactly and are gated at 0.0: step 4 checks that each
-transposed projection is orthogonal, and so its own pseudoinverse.
+Every other step is exact too, as every entry is dyadic (0, +-1, +-i,
+1/2, +-i/2, 1/4, 1/16): step 1's square expansions and step 4's squeeze
+run on the n^2 rank-one projections of ``_projection_stacks``, and step 4
+checks that each transposed projection is orthogonal, so its own
+pseudoinverse.  No step eigensolves: a PSD step is proved by an exact
+factor w w* plus a nonnegative diagonal, which no floating-point
+eigenvalue gives for a singular certificate (Rump, BIT 46, 2006), and a
+violation by an exact u with u* X u < 0; every step is gated at 0.0.
 
 The seeded search for a PSD input that the full block transpose, the forced
 extension candidate, sends out of the PSD cone is
@@ -63,15 +66,12 @@ import enum
 import numpy as np
 
 from .linalg import (
-    EXACT_TOL,
     MARGIN,
-    MEMBERSHIP_TOL,
     PSD_TOL,
     _adjoint,
     _deviation,
     as_squares,
     block2x2,
-    hermitian_eigenvalues,
     hermiticity_defect,
     is_psd,
     stack_chunks,
@@ -97,15 +97,14 @@ class Outcome(enum.Enum):
 
 @dataclasses.dataclass(frozen=True)
 class Step:
-    """One verified link in a certificate chain."""
+    """One link in a certificate chain; it holds when its residual is exactly 0.0."""
 
     description: str
     residual: float
-    tolerance: float
 
     @property
     def ok(self) -> bool:
-        return self.residual <= self.tolerance
+        return self.residual == 0.0
 
 
 @dataclasses.dataclass(frozen=True)
@@ -173,18 +172,30 @@ def _certificate_parts(n: int, i: np.ndarray, j: np.ndarray) -> tuple[np.ndarray
     return D, S
 
 
+def _rank_one_defect(Q: np.ndarray) -> float:
+    """Largest distance of Q, or of each Q of a stack, from w w* plus a
+    nonnegative diagonal, w the first column of Q: 0.0 proves each Q PSD, as
+    a sum of two PSD matrices.  On dyadic entries the arithmetic is exact."""
+    w = Q[..., :, :1]
+    R = Q - w * _adjoint(w)
+    k = np.arange(Q.shape[-1])
+    R[..., k, k] -= np.maximum(R[..., k, k].real, 0.0)
+    return float(np.abs(R).max())
+
+
 def _covariance_defect(kind: MapKind, X: np.ndarray, monomials: list[tuple[np.ndarray, np.ndarray]]) -> float:
     """Largest deviation from T(W X W*) = W T(X) W* at the stack of points
     X, for T the map's rule and each monomial unitary W = diag(w) Pi, given
     as a pair (p, w) of a permutation p of range(2n) and a phase vector w:
     (W Y W*)_kl = w_k Y_p(k)p(l) conj(w_l).  The phases are 1 or i, so both
-    sides move entries exactly, and the identity is linear in X."""
-    TX = _blockwise(kind, X)
+    sides move entries exactly, and the identity is linear in X.  One point
+    at a time, so that each temporary holds one matrix."""
+    moves = [(p[:, None], p, w[:, None] * np.conj(w)) for p, w in monomials]
     worst = 0.0
-    for p, w in monomials:
-        phases = w[:, None] * np.conj(w)
-        moved = _deviation(_blockwise(kind, phases * X[:, p[:, None], p]), phases * TX[:, p[:, None], p])
-        worst = max(worst, float(moved.max()))
+    for x in X:
+        Tx = _blockwise(kind, x)
+        for rows, cols, phases in moves:
+            worst = max(worst, _deviation(_blockwise(kind, phases * x[rows, cols]), phases * Tx[rows, cols]))
     return worst
 
 
@@ -198,10 +209,11 @@ def _corner_forcing_steps(m: MapId) -> tuple[list[Step], np.ndarray]:
     to both diagonal blocks, sends Q_00 to Q_ii, Q_01 to Q_ij (i != j)
     and D_0 to D_i.  These are placed by index, with no map involved, so
     each has its representative's spectrum, and only the representatives
-    (0, 0) and (0, 1), just (0, 0) at n = 1, are eigensolved: their
-    certificates and D_0 are PSD, and the Schur step turns their forced
-    corners X (see ``_forced_corner``) into the lower bound X* X on the
-    upper-left value.
+    (0, 0) and (0, 1), just (0, 0) at n = 1, are checked: their
+    certificates are w w* plus a 0/1 diagonal and D_0 = e_0 e_0*, PSD by
+    ``_rank_one_defect``, and the Schur step turns their forced corners X
+    (see ``_forced_corner``) into the lower bound X* X on the upper-left
+    value, attained as [[X* X, X*], [X, I]] = [X, I]* [X, I].
 
     Where the map commutes with every such relabeling, each forced corner
     X_ij is its representative's relabeled, and its Schur step is a
@@ -215,12 +227,11 @@ def _corner_forcing_steps(m: MapId) -> tuple[list[Step], np.ndarray]:
     """
     n = m.n
     D, S = _certificate_parts(n, np.zeros(min(n, 2), dtype=int), np.arange(min(n, 2)))
-    # the entries are 0 or 1, so the certificates D + S are exact
-    r_psd = float(np.abs(is_psd(D + S).min_eigenvalue).max())
-    r_decomp = abs(min(is_psd(D[0]).min_eigenvalue, 0.0))
-    X_rep = _forced_corner(m, S)
-    rep = schur_implication(_adjoint(X_rep) @ X_rep, X_rep, tol=MEMBERSHIP_TOL)
-    r_schur = float(np.abs([rep.block_min_eigenvalue, rep.complement_min_eigenvalue]).max())
+    r_psd, r_decomp = _rank_one_defect(D + S), _rank_one_defect(D[:1])
+    X = _forced_corner(m, S)
+    I = np.broadcast_to(np.eye(n), X.shape)
+    G = np.concatenate([X, I], axis=-1)
+    r_schur = float(np.max(_deviation(block2x2(_adjoint(X) @ X, _adjoint(X), X, I), _adjoint(G) @ G)))
     swap = np.arange(n)
     swap[:2] = swap[1::-1]
     relabelings = [(np.concatenate([pi, pi + n]), np.ones(2 * n)) for pi in (swap, np.roll(np.arange(n), 1))]
@@ -236,27 +247,25 @@ def _corner_forcing_steps(m: MapId) -> tuple[list[Step], np.ndarray]:
         bound += (_adjoint(X) @ X).sum(axis=0)
         sum_D += D[:, :n, :n].sum(axis=0)
     steps = [
-        Step("each certificate [[E_ii, E_ij], [E_ji, I]] is positive semidefinite", r_psd, EXACT_TOL),
+        Step("each certificate [[E_ii, E_ij], [E_ji, I]] is w w* plus a 0/1 diagonal, so PSD", r_psd),
         Step(
-            "certificate = PSD diagonal part + subspace part, so the extension's"
-            " value dominates the map's image of the subspace part",
+            "certificate = PSD diagonal part E_ii (+) 0 + subspace part, so the"
+            " extension's value dominates the map's image of the subspace part",
             r_decomp,
-            EXACT_TOL,
         ),
         Step(
-            "Schur step: each forced corner X_ij, the lower-left block of that"
-            " image, forces upper-left >= X_ij* X_ij; X_ij is a representative's"
-            " relabeled, as the map commutes with relabeling both diagonal blocks"
-            " by (0 1) and by the n-cycle" + systems._proved("(Gaussian-)integer points of its domain", 3),
+            "Schur step: by the Schur-complement lemma each forced corner X_ij, the lower-left"
+            " block of that image, forces upper-left >= X_ij* X_ij, attained as [[X* X, X*],"
+            " [X, I]] = [X, I]* [X, I]; X_ij is a representative's relabeled, as the map commutes"
+            " with relabeling both diagonal blocks by (0 1) and by the n-cycle"
+            + systems._proved("(Gaussian-)integer points of its domain", 3),
             r_schur,
-            MEMBERSHIP_TOL,
         ),
         # a sum of 0/1 matrices is exact
         Step(
             "the diagonal parts resolve the upper-left identity, capped by I"
             " since the extension is unital and positive",
             float(np.abs(sum_D - np.eye(n)).max()),
-            0.0,
         ),
     ]
     return steps, bound
@@ -275,21 +284,23 @@ def _scaling_certificate(m: MapId) -> Verdict:
     steps, F = _corner_forcing_steps(m)
     # the largest entry of a PSD matrix lies on its diagonal
     forced = float(F.max())
-    steps.append(Step(f"summed forced bound sum_i X_i1* X_i1 = {forced:g} E_11 against the cap I", 0.0, 0.0))
+    off = _deviation(F, np.diag(forced * np.eye(n)[0]))
+    steps.append(Step(f"summed forced bound sum_i X_i1* X_i1 = {forced:g} E_11 against the cap I", off))
     if forced == 0.0:
-        steps.append(Step("forced bound vanishes; no obstruction at any size", 0.0, 0.0))
+        steps.append(Step("forced bound vanishes; no obstruction at any size", 0.0))
         return Verdict(Outcome.INCONCLUSIVE, None, (), tuple(steps))
     # the largest n whose bound n s^2 stays within the cap: n / forced = 1 / s^2
     threshold = int(n // forced)
     I = np.eye(n)
     if forced > 1.0:
         margin = forced - 1.0
-        gap = abs(float(hermitian_eigenvalues(I - F)[0]) + margin)
-        steps.append(Step("eigencheck of the violated inequality I >= forced E_11", gap, EXACT_TOL))
+        k = int(np.argmax(np.diagonal(F)))
+        gap = abs(float(I[k, k] - F[k, k]) + margin)
+        steps.append(Step("e_k* (I - F) e_k = -margin at the diagonal argmax k of F violates I >= F", gap))
         witnesses = (("unital-cap", I), ("forced-lower-bound", F))
         return Verdict(Outcome.CONTRADICTION, threshold, witnesses, tuple(steps), margin=margin)
     meets = "stays below" if forced < 1.0 else "exactly meets"
-    steps.append(Step(f"forced bound {meets} the cap; no obstruction at this size", 0.0, 0.0))
+    steps.append(Step(f"forced bound {meets} the cap; no obstruction at this size", 0.0))
     return Verdict(Outcome.INCONCLUSIVE, threshold, (), tuple(steps))
 
 
@@ -306,26 +317,24 @@ def certify_quarter_transpose(n: int) -> Verdict:
     m = MapId(MapKind.QUARTER_TRANSPOSE, n)
     verdict = _scaling_certificate(m)
     if verdict.outcome is Outcome.INCONCLUSIVE:
-        wn = quarter_transpose_witness_norm(n)
         # n times the factor s of the forced corners, read off the subspace
         # part [[0, E_11], [E_11, I]] of the first certificate
-        S = np.diag(np.repeat([0.0, 1.0], n))
-        S[0, n] = S[n, 0] = 1.0
+        _, S = _certificate_parts(n, np.zeros(1, dtype=int), np.zeros(1, dtype=int))
         ns = n * float(np.abs(_forced_corner(m, S)).max())
         reading = (
             "<= 1, consistent with extendability at this size"
             if ns <= 1.0
             else "exceeds 1, but this certificate draws no conclusion below its threshold"
         )
-        step = Step(f"amplified witness norm n s = {ns:g} {reading}", abs(wn - ns), MEMBERSHIP_TOL)
+        step = Step(f"amplified witness norm n s = {ns:g} {reading}", abs(quarter_transpose_witness_norm(n) - ns))
         verdict = dataclasses.replace(verdict, narrative=verdict.narrative + (step,))
     return verdict
 
 
 def _identity_extension(reason: str, dtype) -> Verdict:
     """At n = 1 the map is the identity, and so is its extension: nothing is
-    sampled, every residual is 0 at tolerance 0."""
-    steps = (Step(reason, 0.0, 0.0), Step("the identity map of the full algebra extends it", 0.0, 0.0))
+    sampled, and every residual is 0."""
+    steps = (Step(reason, 0.0), Step("the identity map of the full algebra extends it", 0.0))
     return Verdict(
         outcome=Outcome.EXTENSION_EXHIBITED,
         threshold_used=1,
@@ -411,7 +420,6 @@ def _sign_flip_step(n: int) -> Step:
         "sign flip c -> -c negates the forced image, for c = 1 and i, so the"
         " pinning is linear in the corner" + systems._proved("self-adjoint Gaussian-integer points", 2),
         max(float(np.abs(F).max()) for F in flips),
-        0.0,
     )
 
 
@@ -433,7 +441,6 @@ def _rebuild_step(n: int) -> Step:
         "Cartesian decomposition C = A + iB rebuilds the forced image of an"
         " arbitrary lower corner as its blockwise transpose" + systems._proved("Gaussian-integer corners C", 3),
         residual,
-        0.0,
     )
 
 
@@ -445,15 +452,15 @@ def certify_corner_transpose(n: int) -> Verdict:
     Hermitian-paired corners, a sign flip and the Cartesian decomposition
     C = A + iB extend the pinning to arbitrary corners, and the squeeze pins
     the lower-right values.  The blockwise transpose then fails positivity
-    on the rank-one corner witness, whose image has eigenvalue exactly -1.
+    on the rank-one corner witness, whose image has an eigenvalue <= -1.
 
     Step 1's square expansions and step 4's squeeze are checked exactly on
     the rank-one projections, which span the self-adjoint matrices, and
     linearity carries them to every input.  The linear identities, step 1's
     I (+) iI covariance and steps 2 and 3, are checked exactly at seeded
     integer points, of all of M_2n for step 1, self-adjoint ones for step 2
-    and arbitrary corners for step 3, and hold up to error 2^-44.  Steps 1
-    to 4 are gated at 0.0.  The seeds depend on the step and on n alone, so
+    and arbitrary corners for step 3, and hold up to error 2^-44.  Every
+    step is gated at 0.0.  The seeds depend on the step and on n alone, so
     the verdict depends on n alone.
     """
     MapId(MapKind.CORNER_TRANSPOSE, n)  # raises ValueError unless n >= 1
@@ -481,7 +488,6 @@ def certify_corner_transpose(n: int) -> Verdict:
         " transposes commute with" + systems._proved("Gaussian-integer points of M_2n", 1) + "; this pins the"
         " images of Hermitian-paired corners",
         r_sq,
-        0.0,
     )
     step2, step3 = _sign_flip_step(n), _rebuild_step(n)
 
@@ -491,21 +497,19 @@ def certify_corner_transpose(n: int) -> Verdict:
         " bounds D^t (D^t)^+ D^t and I - J J^+ J (J = I - D^t) equal D^t, and"
         " [[D^t, D^t], [D^t, D^t]] is PSD since D^t = (D^t)* (D^t)",
         lower_right_forcing_check(n),
-        0.0,
     )
 
     W = corner_witness(n)
-    in_eigs = hermitian_eigenvalues(W)
-    r_in = max(abs(float(in_eigs[-1]) - 2.0), float(np.abs(in_eigs[:-1]).max()))
+    v = W[:, :1]
     out = block_transpose(W)
-    # an image that is not self-adjoint fails the step by its defect, not by raising
-    image = is_psd(out)
-    min_out = image.min_eigenvalue
+    u = np.zeros(2 * n)
+    u[1], u[n] = 1.0, -1.0
+    uXu, uu = complex(u @ out @ u), float(u @ u)
     step5 = Step(
-        "the forced blockwise transpose sends the rank-one corner witness"
-        " (eigenvalues {2, 0}) to a matrix with eigenvalue -1",
-        max(r_in, abs(min_out + 1.0), image.hermiticity_defect),
-        MEMBERSHIP_TOL,
+        "the forced blockwise transpose sends the rank-one corner witness v v*"
+        " (v* v = 2) to a self-adjoint X with u* X u = -u* u at u = e_2 - e_(n+1),"
+        " so X has an eigenvalue at most -1",
+        max(_deviation(W, v * _adjoint(v)), abs(complex(np.trace(W)) - 2.0), abs(uXu + uu), hermiticity_defect(out)),
     )
 
     steps = (step1, step2, step3, step4, step5)
@@ -514,23 +518,20 @@ def certify_corner_transpose(n: int) -> Verdict:
         threshold_used=1,
         witnesses=(("positive-input", W), ("forced-image", out)),
         narrative=steps,
-        margin=-min_out,
+        margin=-uXu.real / uu,
     )
 
 
 def verify_verdict_invariants(v: Verdict) -> list[str]:
     """Internal consistency failures of a verdict, empty when clean.
 
-    Checks that every narrative residual is within its declared tolerance
-    and that a contradiction carries witnesses with margin above the
-    reporting threshold.
+    Checks that every narrative residual is exactly 0.0, and that a
+    contradiction carries witnesses with margin above the reporting threshold.
     """
     problems: list[str] = []
     for k, s in enumerate(v.narrative):
         if not s.ok:
-            problems.append(
-                f"step {k} residual {s.residual:.3e} exceeds tolerance {s.tolerance:.3e}"
-            )
+            problems.append(f"step {k} residual {s.residual:.3e} is not 0")
     if v.outcome is Outcome.CONTRADICTION:
         if v.margin is None or v.margin < MARGIN:
             problems.append(f"contradiction margin {v.margin} below {MARGIN}")

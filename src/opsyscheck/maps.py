@@ -711,17 +711,14 @@ def quarter_transpose_witness_norm(n: int) -> float:
     """Norm of the amplified off-diagonal quarter transpose on its standard
     entangled witness; equals n/4, crossing 1 strictly between n=4 and n=5.
 
-    The witness sum_ij E_ij (x) E_ij has its ones at the rows and columns
-    k (n + 1), k < n; the map scales it by its off-diagonal factor, read off
-    the map's image of the unit lower-left corner at n = 1.
+    The witness sum_ij E_ij (x) E_ij is u u^t, u the indicator of the entries
+    k (n + 1), k < n; the map scales it by its factor t, read off its image of
+    the unit lower-left corner at n = 1, so its norm is |t| u^t u = |t| n.
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    Y = np.zeros((n * n, n * n))
-    ones = np.arange(n) * (n + 1)
     corner = np.array([[0.0, 0.0], [1.0, 0.0]])
-    Y[np.ix_(ones, ones)] = _blockwise(MapKind.QUARTER_TRANSPOSE, corner)[1, 0]
-    return operator_norm(Y)
+    return abs(float(_blockwise(MapKind.QUARTER_TRANSPOSE, corner)[1, 0])) * n
 
 
 def complex_swap_witness() -> tuple[np.ndarray, np.ndarray]:

@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .linalg import DimensionMismatchError, NonFiniteError
+from .linalg import DimensionMismatchError, FieldMismatchError, NonFiniteError
 
 # the package version: pyproject.toml and opsyscheck.__version__ read it here
 VERSION = "0.1.0"
@@ -44,6 +44,8 @@ class MatrixPayload:
             raise ValueError(f"payload field must be real or complex, got {self.field!r}")
         if self.rows < 0 or self.cols < 0 or len(self.entries) != self.rows * self.cols:
             raise DimensionMismatchError(f"{self.rows} x {self.cols} payload holds {len(self.entries)} entries")
+        if self.field == "real" and any(im != 0.0 for _, im in self.entries):
+            raise FieldMismatchError("real payload holds a nonzero imaginary part")
 
     @staticmethod
     def from_matrix(M) -> "MatrixPayload":

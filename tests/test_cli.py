@@ -20,6 +20,7 @@ from opsyscheck import (
     Claim,
     ConfigError,
     DimensionMismatchError,
+    FieldMismatchError,
     MatrixPayload,
     NonFiniteError,
     Report,
@@ -140,6 +141,20 @@ def test_matrix_payload_refuses_an_unknown_field():
         MatrixPayload.from_dict(d)
 
 
+def test_real_payload_refuses_an_imaginary_part():
+    d = {"rows": 1, "cols": 1, "field": "real", "entries": [[1.0, 5.0]]}
+    with pytest.raises(FieldMismatchError):
+        MatrixPayload.from_dict(d)
+    claims = (Claim(id="x.y", anchor="a", status="fail"),)
+    report = json.loads(report_to_json(Report(config=(), claims=claims, duration_seconds=0.0)))
+    report["claims"][0]["witness"] = d
+    with pytest.raises(FieldMismatchError):
+        report_from_json(json.dumps(report))
+    # a zero imaginary part of either sign is no imaginary part
+    d["entries"] = [[1.0, -0.0]]
+    assert MatrixPayload.from_dict(d).to_dict() == d
+
+
 def test_report_with_a_short_witness_is_refused_when_parsed():
     claims = (Claim(id="x.y", anchor="a", status="fail", witness=MatrixPayload.from_matrix(np.eye(2))),)
     d = json.loads(report_to_json(Report(config=(), claims=claims, duration_seconds=0.0)))
@@ -206,8 +221,10 @@ def claims(draw):
     witness = None
     if draw(st.booleans()):
         rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
-        entries = draw(st.lists(st.tuples(FINITE, FINITE), min_size=rows * cols, max_size=rows * cols))
         field = draw(st.sampled_from(["real", "complex"]))
+        # a real payload holds no imaginary part
+        imag = FINITE if field == "complex" else st.just(0.0)
+        entries = draw(st.lists(st.tuples(FINITE, imag), min_size=rows * cols, max_size=rows * cols))
         witness = MatrixPayload(rows=rows, cols=cols, field=field, entries=tuple(entries))
     return Claim(
         id=draw(st.text(max_size=12)),

@@ -667,6 +667,33 @@ def test_quarter_transpose_witness_norm_values():
     assert quarter_transpose_witness_norm(5) > 1.0 + 1e-2
 
 
+def _svd_witness_norm(n: int) -> float:
+    """The amplified witness norm as an SVD of the n^2 x n^2 witness with its
+    scaled ones at the rows and columns k (n + 1), k < n."""
+    Y = np.zeros((n * n, n * n))
+    ones = np.arange(n) * (n + 1)
+    Y[np.ix_(ones, ones)] = _blockwise(MapKind.QUARTER_TRANSPOSE, np.array([[0.0, 0.0], [1.0, 0.0]]))[1, 0]
+    return operator_norm(Y)
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_witness_norm_matches_the_svd_reference(n):
+    assert abs(quarter_transpose_witness_norm(n) - _svd_witness_norm(n)) <= 1e-12
+
+
+def test_witness_norm_is_exact_and_small():
+    # the SVD form held an n^2 x n^2 matrix: 128 MiB at n = 64
+    tracemalloc.start()
+    try:
+        norms = [quarter_transpose_witness_norm(n) for n in range(1, 65)]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert norms == [n / 4.0 for n in range(1, 65)]
+    assert all(type(w) is float for w in norms)
+    assert peak < 16 * 1024, f"peak {peak} bytes"
+
+
 def test_kadison_schwarz_block_transpose():
     """On embedded corner elements the defect vanishes; generically it breaks."""
     m = MapId(MapKind.BLOCK_TRANSPOSE, 3)

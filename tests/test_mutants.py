@@ -1,8 +1,9 @@
 """Mutation checks: each mutant of a map's rule, of the closed-form
-positivity criterion, of the scaling certificates' summed bound, of the
-squeeze's spanning set, of the block transpose that the corner-transpose
-chain forces or of the norm search's reported bound makes a claim or a
-certificate step of its own family fail.  The three rule mutants that pass every claim fail the
+positivity criterion, of the scaling certificates' summed bound or
+certificate parts, of the squeeze's spanning set, of the corner witness, of
+the block transpose that the corner-transpose chain forces or of the norm
+search's reported bound makes a claim or a certificate step of its own
+family fail.  The three rule mutants that pass every claim fail the
 block-by-block image of ``test_maps.golden_case`` instead.  The structural
 mutants (affine, anti-linear, half-transposed and rounding rules) fail both
 the exact structural check and its Gaussian reference,
@@ -24,6 +25,8 @@ from opsyscheck.linalg import EXACT_TOL, PSD_TOL
 from opsyscheck.maps import MapId, MapKind
 from opsyscheck.suite import RunConfig
 from test_certificates import (
+    _eigen_certificate_residual,
+    _eigen_witness_residual,
     _phase_spanning_residual,
     _pinv_squeeze_residual,
     _rebuild_spanning_residual,
@@ -207,6 +210,61 @@ def test_halved_forced_bound_mutant_fails_its_family(target, n, mutated, monkeyp
     assert got[f"certify.{target}.n={n}.outcome"] == ("fail" if mutated else "pass")
 
 
+_CERTIFICATE_PARTS = certificates._certificate_parts
+
+
+def _doubled_unit_parts(n, i, j):
+    """The certificate parts with each off-diagonal unit of S doubled: the
+    representative [[E_00, 2 E_01], [2 E_10, I]] has eigenvalue -1."""
+    D, S = _CERTIFICATE_PARTS(n, i, j)
+    rows = np.arange(i.size)
+    S[rows, i, n + j] = S[rows, n + j, i] = 2.0
+    return D, S
+
+
+@pytest.mark.parametrize("mutated", [False, True], ids=["original", "mutant"])
+@pytest.mark.parametrize("target, n", [("phi", 1), ("phi", 17), ("upsilon", 2), ("upsilon", 3)])
+def test_doubled_certificate_unit_fails_the_exact_psd_step(target, n, mutated, monkeypatch):
+    if mutated:
+        monkeypatch.setattr(certificates, "_certificate_parts", _doubled_unit_parts)
+    steps, _ = certificates._corner_forcing_steps(MapId(maps.MAP_KIND_BY_TOKEN[target], n))
+    assert steps[0].ok is not mutated
+    # the eigensolve the exact factor replaces sees the same failure
+    assert (_eigen_certificate_residual(n) > 0.0) is mutated
+    assert statuses(**certify(target, n))[f"certify.{target}.n={n}.narrative"] == ("fail" if mutated else "pass")
+
+
+@pytest.mark.parametrize("mutated", [False, True], ids=["original", "mutant"])
+@pytest.mark.parametrize("n", [3, 17])
+def test_unscaled_lower_left_fails_the_summed_bound_step(n, mutated, monkeypatch):
+    # the lower-left block passes through untransposed: X_i1 = E_1i, so the
+    # summed bound is I, not a multiple of E_11 as the step states
+    if mutated:
+        monkeypatch.setitem(maps._RULES, MapKind.QUARTER_TRANSPOSE, {(0, 1): 0.25})
+    assert certificates.certify_quarter_transpose(n).narrative[4].ok is not mutated
+    assert statuses(**certify("phi", n))[f"certify.phi.n={n}.narrative"] == ("fail" if mutated else "pass")
+
+
+def _product_witness(n):
+    """v v* with v = e_1 (+) e_1: PSD, and its own blockwise transpose."""
+    v = np.zeros(2 * n, dtype=np.complex128)
+    v[0] = v[n] = 1.0
+    return np.outer(v, v.conj())
+
+
+@pytest.mark.parametrize("mutated", [False, True], ids=["original", "mutant"])
+@pytest.mark.parametrize("n", [2, 3, 8])
+def test_product_corner_witness_fails_step_5(n, mutated, monkeypatch):
+    if mutated:
+        monkeypatch.setattr(certificates, "corner_witness", _product_witness)
+    steps = certificates.certify_corner_transpose(n).narrative
+    assert [s.ok for s in steps] == [True, True, True, True, not mutated]
+    assert (_eigen_witness_residual(n) > 0.0) is mutated
+    got = statuses(**certify("gamma", n))
+    for part in ("narrative", "margin", "final-witness"):
+        assert got[f"certify.gamma.n={n}.{part}"] == ("fail" if mutated else "pass")
+
+
 _PROJECTION_STACKS = certificates._projection_stacks
 
 
@@ -358,8 +416,8 @@ _SEARCH = maps.estimate_map_norm
 
 def _inflated_search(m, restarts=50, rng_seed=0):
     """The norm search with its reported bound 1e-7 above its witness's
-    image norm: within the lower-bound claim's tolerance, beyond the image
-    norm's."""
+    image norm: beyond the IDENTITY_TOL gate of both the lower-bound and
+    the image-norm claims."""
     est = _SEARCH(m, restarts=restarts, rng_seed=rng_seed)
     return dataclasses.replace(est, lower_bound=est.lower_bound + 1e-7)
 
@@ -369,5 +427,5 @@ def test_inflated_norm_bound_mutant_fails_image_norm(mutated, monkeypatch):
     if mutated:
         monkeypatch.setattr(maps, "estimate_map_norm", _inflated_search)
     got = statuses(suite.norm_claims, command="norm", target="upsilon", n_values=(2,), restarts=6)
-    assert got["norm.upsilon.n=2.lower-bound"] == "pass"
+    assert got["norm.upsilon.n=2.lower-bound"] == ("fail" if mutated else "pass")
     assert got["norm.upsilon.n=2.image-norm"] == ("fail" if mutated else "pass")
